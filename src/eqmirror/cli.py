@@ -30,7 +30,7 @@ from .closed_forms import (
     yukawa_check,
     GENUS1_REFERENCE,
 )
-from .exact_core import rat, rat_str
+from .exact_core import AlgebraError, rat, rat_str
 from .givental import GeometryError, GeometrySpec, geometry
 from .pipeline import (
     BirkhoffError,
@@ -81,10 +81,7 @@ def load_config(path):
 
 
 def parse_degree(text, nvars=None):
-    try:
-        parts = tuple(int(p) for p in str(text).split(","))
-    except ValueError:
-        raise ConfigError("degree must be an integer or comma list, got %r" % (text,))
+    parts = tuple(_config_int(p, "degree") for p in str(text).split(","))
     if any(p < 1 for p in parts):
         raise ConfigError("degree box entries must be >= 1")
     if nvars is not None:
@@ -106,26 +103,31 @@ def geometry_from_config(cfg):
                 if not w:
                     weights.append(None)
                 elif isinstance(w, (tuple, list)) and len(w) == 2:
-                    weights.append((str(w[0]), int(w[1])))
+                    weights.append((str(w[0]), _config_int(w[1], "weight sign")))
                 else:
                     raise ConfigError("weights entries are null or (name, sign)")
             relations = []
             for rel in cfg.get("relations", ()):
                 if not isinstance(rel, dict):
                     raise ConfigError("relations are {exponent-tuple: coefficient}")
-                relations.append({tuple(k): v for k, v in rel.items()})
+                relations.append(
+                    {tuple(k): _parse_rat(v, "relation coefficient") for k, v in rel.items()}
+                )
             return GeometrySpec(
                 name=str(cfg.get("name", "custom")),
-                mori=tuple(tuple(int(c) for c in row) for row in cfg["mori"]),
+                mori=tuple(
+                    tuple(_config_int(c, "mori entry") for c in row) for row in cfg["mori"]
+                ),
                 weights=tuple(weights),
                 generators=tuple(cfg.get("generators", ())),
                 relations=tuple(relations),
                 lambda_names=tuple(cfg.get("lambda_names", ())),
+                infinity_weights=tuple(cfg.get("infinity_weights", ())),
                 family=str(cfg.get("family", "custom")),
                 parameter=cfg.get("parameter"),
                 action=cfg.get("action"),
             )
-        except (TypeError, KeyError) as exc:
+        except (TypeError, KeyError, AlgebraError) as exc:
             raise ConfigError("bad explicit geometry: %s" % exc)
     family = cfg.get("family") or cfg.get("geometry")
     if not family:
@@ -133,6 +135,8 @@ def geometry_from_config(cfg):
     parameter = cfg.get("parameter")
     if parameter is None:
         parameter = cfg.get("k") if cfg.get("k") is not None else cfg.get("n")
+    if parameter is not None:
+        parameter = _config_int(parameter, "parameter")
     return geometry(str(family), parameter, cfg.get("action"))
 
 
@@ -154,7 +158,7 @@ def _report_from_comparisons(reports):
 def cmd_gw(args, cfg):
     geom = geometry_from_config(cfg)
     box = parse_degree(cfg.get("degree", 3), len(geom.mori))
-    table = gw_table(geom, box, cfg.get("lambda_depth"))
+    table = gw_table(geom, box, _lambda_depth(cfg))
     report = {
         "geometry": geom.name,
         "degree": list(box),
@@ -165,7 +169,7 @@ def cmd_gw(args, cfg):
 
 def cmd_verify_genus0(args, cfg):
     k = _need_k(cfg)
-    degree = int(cfg.get("degree", 6))
+    degree = _config_int(cfg.get("degree", 6), "degree")
     reports = [
         bundle_mirror_check(k, degree),
         yukawa_check(k, degree),
@@ -176,7 +180,7 @@ def cmd_verify_genus0(args, cfg):
 
 def cmd_verify_genus1(args, cfg):
     k = _need_k(cfg)
-    degree = int(cfg.get("degree", 5))
+    degree = _config_int(cfg.get("degree", 5), "degree")
     reports = []
     if k in GENUS1_REFERENCE:
         reports.append(genus1_reference_check(k, min(degree, 5)))
@@ -204,26 +208,26 @@ def cmd_verify_factored(args, cfg):
     k = _need_k(cfg)
     action = str(cfg.get("action", "antidiagonal"))
     box = parse_degree(cfg.get("degree", 3), 1)
-    rep = factored_consistency_check(k, action, box, cfg.get("lambda_depth"))
+    rep = factored_consistency_check(k, action, box, _lambda_depth(cfg))
     return _report_from_comparisons([rep])
 
 
 def cmd_verify_fibration(args, cfg):
-    degree = int(cfg.get("degree", 4))
-    fiber = int(cfg.get("fiber_degree", 2))
+    degree = _config_int(cfg.get("degree", 4), "degree")
+    fiber = _config_int(cfg.get("fiber_degree", 2), "fiber_degree")
     rep = fibration_correspondence_check(degree, fiber)
     return _report_from_comparisons([rep])
 
 
 def cmd_pf_check(args, cfg):
     k = _need_k(cfg)
-    degree = int(cfg.get("degree", 6))
+    degree = _config_int(cfg.get("degree", 6), "degree")
     return _report_from_comparisons([pf_check(k, degree)])
 
 
 def cmd_genus1_fit(args, cfg):
     k = _need_k(cfg)
-    degree = int(cfg.get("degree", 6))
+    degree = _config_int(cfg.get("degree", 6), "degree")
     fit = bundle_genus1_fit(k, degree)
     report = {
         "k": k,
@@ -239,10 +243,10 @@ def cmd_an(args, cfg):
     n = cfg.get("n")
     if n is None:
         raise ConfigError("the chain command needs --n")
-    n = int(n)
+    n = _config_int(n, "n")
     geom = geometry("a_n", n)
     box = parse_degree(cfg.get("degree", 3), n)
-    table = gw_table(geom, box, cfg.get("lambda_depth"))
+    table = gw_table(geom, box, _lambda_depth(cfg))
     report = {"geometry": geom.name, "invariants": table.render()}
     passed = True
     if n == 2:
@@ -265,9 +269,9 @@ def cmd_a2_genus1(args, cfg):
     box = parse_degree(cfg.get("degree", 3), 2)
     kwargs = {}
     if cfg.get("delta_exponent") is not None:
-        kwargs["delta_exponent"] = _parse_rat(cfg["delta_exponent"])
+        kwargs["delta_exponent"] = _parse_rat(cfg["delta_exponent"], "delta_exponent")
     if cfg.get("jacobian_exponent") is not None:
-        kwargs["jacobian_exponent"] = _parse_rat(cfg["jacobian_exponent"])
+        kwargs["jacobian_exponent"] = _parse_rat(cfg["jacobian_exponent"], "jacobian_exponent")
     rep = a2_genus1_check(box, **kwargs)
     report = {
         "verdict": "pass" if rep.passed else "fail",
@@ -290,17 +294,29 @@ def _need_k(cfg):
     k = cfg.get("k")
     if k is None:
         raise ConfigError("this command needs --k")
-    return int(k)
+    return _config_int(k, "k")
 
 
-def _parse_rat(value):
-    if isinstance(value, int):
-        return rat(value)
-    text = str(value)
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return rat(int(num), int(den))
-    return rat(int(text))
+def _config_int(value, what):
+    """Every integer read from flags or a config file goes through here, so
+    bad input raises ConfigError (exit 2) instead of a bare ValueError."""
+    try:
+        return int(str(value))
+    except ValueError:
+        raise ConfigError("%s must be an integer, got %r" % (what, value)) from None
+
+
+def _parse_rat(value, what="value"):
+    num, slash, den = str(value).partition("/")
+    den = _config_int(den, what + " denominator") if slash else 1
+    if den == 0:
+        raise ConfigError("%s has a zero denominator: %r" % (what, value))
+    return rat(_config_int(num, what + " numerator"), den)
+
+
+def _lambda_depth(cfg):
+    depth = cfg.get("lambda_depth")
+    return None if depth is None else _config_int(depth, "lambda_depth")
 
 
 _COMMANDS = {

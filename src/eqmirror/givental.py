@@ -119,7 +119,23 @@ class GeometrySpec:
         self.lambda_names = lambda_names
         self.infinity_weights = infinity_weights
         self.algebra = algebra_from_relations(generators, self.relations)
-        self.key = (self.name, self.mori, self.weights, self.lambda_names)
+        # every field, so specs that differ anywhere never share a cache entry
+        self.key = (
+            self.name,
+            self.family,
+            self.parameter,
+            self.action,
+            self.mori,
+            self.weights,
+            self.generators,
+            tuple(tuple(sorted(r.items())) for r in self.relations),
+            self.lambda_names,
+            tuple(sorted(self.infinity_weights)),
+        )
+        try:
+            hash(self.key)
+        except TypeError:
+            raise GeometryError("geometry labels must be hashable")
 
     @property
     def nrows(self):

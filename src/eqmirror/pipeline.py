@@ -247,12 +247,17 @@ def extract_mirror_maps(j):
 
 
 def normalize_j(j, mirror):
-    """B(x) = e^{-(sum_i p_i g_i(q(x)) + sigma(q(x))) / hbar} J_bracket(q(x)).
+    """Levels 0, -1 and -2 of the bracket in the flat coordinates x,
+
+        B(x) = e^{A / hbar} J(q(x)),  A = -(sum_i p_i g_i(q(x)) + sigma(q(x))).
 
     Composing with the inverse mirror map and multiplying by the exponential
     turns the prefactor normalization e^{sum p log q / hbar} into
-    e^{sum p log x / hbar}; the returned plain series is the bracket in x.
-    Its 1/hbar slice cancels by construction, which is asserted.
+    e^{sum p log x / hbar}.  Only the levels that are read are built: A sits
+    at hbar level 0 and J keeps levels <= 0, so level -n of B needs the
+    factors A^m / m! for m <= n and the J levels -n .. 0, each substituted
+    on its own.  The returned plain series holds hbar levels 0, -1 and -2
+    only.  Its 1/hbar slice cancels by construction, which is asserted.
     """
     sring = j.sring
     ring = sring.coeff
@@ -262,10 +267,12 @@ def normalize_j(j, mirror):
         arg = arg - g.subs(mirror.inverse) * ring.p(gens[i])
     arg = arg - mirror.sigma.subs(mirror.inverse)
     arg = arg * ring.hbar(-1)
-    out = arg.exp() * j.with_prefactor(False).subs(mirror.inverse)
-    if not out.hbar_slice(-1).is_zero():
+    j0, j1, j2 = (
+        (j.hbar_slice(-n) * ring.hbar(-n)).subs(mirror.inverse) for n in range(3)
+    )
+    if not (arg * j0 + j1).is_zero():
         raise PipelineError("normalization failed to cancel the 1/hbar slice")
-    return out
+    return j0 + arg * arg * rat(1, 2) * j0 + arg * j1 + j2
 
 
 def extract_w(normalized):
@@ -427,6 +434,12 @@ class GWTable:
 
 @dataclass(frozen=True)
 class PipelineResult:
+    """Every stage's output for one geometry and degree box.
+
+    ``normalized`` is the bracket in the flat coordinates x on hbar levels
+    0, -1 and -2 only (see :func:`normalize_j`); ``w`` is its 1/hbar^2
+    slice."""
+
     geometry: object
     sring: SeriesRing
     i_series: QSeries

@@ -509,6 +509,14 @@ def series_reversion(gs, sring: SeriesRing):
     the tuple of inverted coordinates in ``sring`` (whose variables are read
     as the flat coordinates x).  The round trip is verified exactly inside
     the degree box and a failure raises :class:`SeriesError`.
+
+    The fixed point q <- x exp(-g(q)) is iterated sum(box) - 1 times.  The
+    start q = x is exact through total degree 1, because g has no constant
+    term.  If q is exact through total degree k, an error of total degree
+    >= k + 1 in q moves g(q) only at total degree >= k + 1 (again because g
+    has no constant term), so the next x exp(-g(q)) is exact through total
+    degree k + 1.  After pass k, q is therefore exact through total degree
+    k + 1, and every degree in the box is reached after sum(box) - 1 passes.
     """
     gs = tuple(gs)
     nv = sring.nvars
@@ -522,7 +530,7 @@ def series_reversion(gs, sring: SeriesRing):
             raise SeriesError("corrections must have no constant term")
 
     current = tuple(sring.variable(i) for i in range(nv))
-    for _ in range(sum(sring.box) + 1):
+    for _ in range(sum(sring.box) - 1):
         current = tuple(
             sring.variable(i) * (-(gs[i].subs(current))).exp() for i in range(nv)
         )

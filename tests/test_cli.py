@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import eqmirror
+from eqmirror import pipeline
 
 from eqmirror.cli import (
     ConfigError,
@@ -231,3 +237,71 @@ def test_out_file_respects_output_dir(capsys, tmp_path, monkeypatch):
     assert rc == 0
     written = (tmp_path / "report.json").read_text()
     assert written == out
+
+
+def test_explicit_config_reads_infinity_weights(capsys, tmp_path, monkeypatch):
+    # a fresh cache, so neither run can be served by an entry of another test
+    monkeypatch.setattr(pipeline, "_PIPELINE_CACHE", {})
+    cfg = tmp_path / "x1.cfg"
+    cfg.write_text(
+        "name = x_k(1,antidiagonal)\n"
+        "family = x_k\n"
+        "mori = ((1, 1, 1, -3),)\n"
+        "weights = (None, None, ('lam', 1), ('lam', -1))\n"
+        "generators = ('p',)\n"
+        "relations = ({(2,): 1},)\n"
+        "lambda_names = ('lam',)\n"
+        "infinity_weights = ('lam',)\n"
+    )
+    rc, out, _ = run_cli(capsys, "gw", "--config", str(cfg), "--degree", "3")
+    rc2, out2, _ = run_cli(
+        capsys, "gw", "--geometry", "x_k", "--k", "1", "--action", "antidiagonal",
+        "--degree", "3",
+    )
+    assert rc == rc2 == 0
+    assert out == out2
+    assert "invariants:\n  1: -1\n  2: 1\n  3: -2\n" in out
+
+
+@pytest.mark.parametrize(
+    "argv,config",
+    [
+        (("a2-genus1", "--delta-exponent=-7/4x"), None),
+        (("a2-genus1", "--jacobian-exponent=1/0"), None),
+        (("verify-genus0",), "k = two\n"),
+        (("verify-fibration",), "fiber_degree = 1.5\n"),
+        (("gw", "--geometry", "x_k", "--k", "1"), "lambda_depth = deep\n"),
+        (("gw",), "geometry = a_n\nn = (2,)\n"),
+        (("gw",), "mori = ((1, 'a'),)\nweights = (None, None)\ngenerators = ('p',)\n"),
+    ],
+    ids=[
+        "rational", "zero-denominator", "k", "fiber-degree",
+        "lambda-depth", "parameter", "mori",
+    ],
+)
+def test_bad_numbers_exit_2(capsys, tmp_path, argv, config):
+    if config is not None:
+        path = tmp_path / "bad.cfg"
+        path.write_text(config)
+        argv = argv + ("--config", str(path))
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_bad_degree_exits_2_without_traceback():
+    src = os.path.dirname(os.path.dirname(eqmirror.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "eqmirror.cli", "verify-genus0", "--k", "2", "--degree", "3,3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: degree must be an integer, got '3,3'\n"

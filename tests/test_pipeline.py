@@ -11,6 +11,7 @@ from eqmirror.pipeline import (
     factored_consistency_check,
     fibration_correspondence_check,
     gw_table,
+    normalize_j,
     polylog_invert,
     restrict_w,
     run_pipeline,
@@ -108,6 +109,38 @@ def test_normalized_bracket_slices():
     res = run_pipeline(geometry("x_k", -1, "diagonal"), (3,))
     assert res.normalized.hbar_slice(-1).is_zero()
     assert not res.w.is_zero()
+
+
+def normalize_j_full(j, mirror):
+    """Reference: exp(arg) * J(q(x)) built on every hbar level."""
+    sring = j.sring
+    ring = sring.coeff
+    gens = ring.algebra.generators
+    arg = sring.zero()
+    for i, g in enumerate(mirror.corrections):
+        arg = arg - g.subs(mirror.inverse) * ring.p(gens[i])
+    arg = arg - mirror.sigma.subs(mirror.inverse)
+    arg = arg * ring.hbar(-1)
+    return arg.exp() * j.with_prefactor(False).subs(mirror.inverse)
+
+
+@pytest.mark.parametrize(
+    "geom,box",
+    [(geometry("x_k_factored", 2, "antidiagonal"), (3,)), (geometry("a_n", 2), (2, 2))],
+    ids=["at-infinity", "chain"],
+)
+def test_sliced_normalization_matches_full_formula(geom, box):
+    res = run_pipeline(geom, box)
+    full = normalize_j_full(res.factorization.j, res.mirror)
+    sliced = normalize_j(res.factorization.j, res.mirror)
+    assert sliced == res.normalized
+    assert sliced.hbar_range() == (-2, 0)
+    assert full.hbar_range()[0] < -2
+    for h in (0, -1, -2):
+        want, got = full.hbar_slice(h), sliced.hbar_slice(h)
+        assert got == want
+        flags = {k: c.truncated for k, c in got.data.items()}
+        assert flags == {k: c.truncated for k, c in want.data.items()}
 
 
 def test_conifold_double_bracket_components():
@@ -240,3 +273,21 @@ def test_fibration_correspondence_small():
 def test_pipeline_results_are_cached():
     g = geometry("x_k", -1, "diagonal")
     assert run_pipeline(g, (3,)) is run_pipeline(g, (3,))
+
+
+def test_cache_key_covers_every_spec_field():
+    spec = dict(
+        name="split",
+        mori=((1, 1, 1, -1, -1, -1),),
+        weights=(None, None, ("lam", 1), ("lam", -1), ("lam", -1), ("lam", -1)),
+        generators=("p",),
+        relations=({(2,): 1},),
+        lambda_names=("lam",),
+    )
+    at_infinity = run_pipeline(GeometrySpec(infinity_weights=("lam",), **spec), (2,))
+    plain = run_pipeline(GeometrySpec(**spec), (2,))
+    assert plain is not at_infinity
+    assert not at_infinity.mirror.sigma.is_zero()
+    assert plain.mirror.sigma.is_zero()
+    cubic = dict(spec, relations=({(3,): 1},))
+    assert GeometrySpec(**cubic).key != GeometrySpec(**spec).key
