@@ -66,7 +66,6 @@ from .closed_forms import (
     a2_genus1_check,
     amodel_prepotential,
     an_prepotential,
-    bps_invert,
     bundle_bps,
     bundle_genus1_fit,
     bundle_mirror_check,

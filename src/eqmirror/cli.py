@@ -5,6 +5,13 @@ closed forms (verify-*, pf-check, genus1-fit, a2-genus1).  Reports are
 deterministic: every number is an exact rational rendered as num/den and
 keys are sorted; timing goes to stderr only.
 
+Each command takes only the flags it reads (``_COMMANDS``); any other flag
+is a usage error.  A flag value is a string that goes through the same
+integer and rational parsing as a config-file value, and a flag overrides
+the config key of the same name (``--fiber-degree`` is ``fiber_degree``).
+A config file may hold keys that the command does not read, so one file
+can serve several commands.
+
 Exit codes: 0 all requested checks pass, 1 a verification mismatch,
 2 unusable configuration, 3 retention windows too shallow for the
 factorization.
@@ -155,7 +162,7 @@ def _report_from_comparisons(reports):
     return out, all(rep.passed for rep in reports)
 
 
-def cmd_gw(args, cfg):
+def cmd_gw(cfg):
     geom = geometry_from_config(cfg)
     box = parse_degree(cfg.get("degree", 3), len(geom.mori))
     table = gw_table(geom, box, _lambda_depth(cfg))
@@ -167,7 +174,7 @@ def cmd_gw(args, cfg):
     return report, True
 
 
-def cmd_verify_genus0(args, cfg):
+def cmd_verify_genus0(cfg):
     k = _need_k(cfg)
     degree = _config_int(cfg.get("degree", 6), "degree")
     reports = [
@@ -178,7 +185,7 @@ def cmd_verify_genus0(args, cfg):
     return _report_from_comparisons(reports)
 
 
-def cmd_verify_genus1(args, cfg):
+def cmd_verify_genus1(cfg):
     k = _need_k(cfg)
     degree = _config_int(cfg.get("degree", 5), "degree")
     reports = []
@@ -194,17 +201,12 @@ def cmd_verify_genus1(args, cfg):
     )
     body["genus-1 ansatz fit k=%d" % k] = {
         "verdict": "pass" if fit_ok else "fail",
-        "details": {
-            "log x": rat_str(fit.coordinate_exponents[0]),
-            "log unit": rat_str(fit.component_exponents[0]),
-            "log shifted unit": rat_str(fit.component_exponents[1]),
-            "log jacobian": rat_str(fit.jacobian_exponent),
-        },
+        "details": _fit_exponents(fit),
     }
     return body, passed and fit_ok
 
 
-def cmd_verify_factored(args, cfg):
+def cmd_verify_factored(cfg):
     k = _need_k(cfg)
     action = str(cfg.get("action", "antidiagonal"))
     box = parse_degree(cfg.get("degree", 3), 1)
@@ -212,34 +214,37 @@ def cmd_verify_factored(args, cfg):
     return _report_from_comparisons([rep])
 
 
-def cmd_verify_fibration(args, cfg):
+def cmd_verify_fibration(cfg):
     degree = _config_int(cfg.get("degree", 4), "degree")
     fiber = _config_int(cfg.get("fiber_degree", 2), "fiber_degree")
     rep = fibration_correspondence_check(degree, fiber)
     return _report_from_comparisons([rep])
 
 
-def cmd_pf_check(args, cfg):
+def cmd_pf_check(cfg):
     k = _need_k(cfg)
     degree = _config_int(cfg.get("degree", 6), "degree")
     return _report_from_comparisons([pf_check(k, degree)])
 
 
-def cmd_genus1_fit(args, cfg):
+def cmd_genus1_fit(cfg):
     k = _need_k(cfg)
     degree = _config_int(cfg.get("degree", 6), "degree")
-    fit = bundle_genus1_fit(k, degree)
-    report = {
-        "k": k,
+    report = _fit_exponents(bundle_genus1_fit(k, degree))
+    report["k"] = k
+    return report, True
+
+
+def _fit_exponents(fit):
+    return {
         "log x": rat_str(fit.coordinate_exponents[0]),
         "log unit": rat_str(fit.component_exponents[0]),
         "log shifted unit": rat_str(fit.component_exponents[1]),
         "log jacobian": rat_str(fit.jacobian_exponent),
     }
-    return report, True
 
 
-def cmd_an(args, cfg):
+def cmd_an(cfg):
     n = cfg.get("n")
     if n is None:
         raise ConfigError("the chain command needs --n")
@@ -257,7 +262,7 @@ def cmd_an(args, cfg):
     return report, passed
 
 
-def cmd_trivalent(args, cfg):
+def cmd_trivalent(cfg):
     choice = str(cfg.get("action", "both"))
     actions = ("diagonal", "antidiagonal") if choice == "both" else (choice,)
     box = parse_degree(cfg.get("degree", 2), 3)
@@ -265,7 +270,7 @@ def cmd_trivalent(args, cfg):
     return _report_from_comparisons(reports)
 
 
-def cmd_a2_genus1(args, cfg):
+def cmd_a2_genus1(cfg):
     box = parse_degree(cfg.get("degree", 3), 2)
     kwargs = {}
     if cfg.get("delta_exponent") is not None:
@@ -319,17 +324,31 @@ def _lambda_depth(cfg):
     return None if depth is None else _config_int(depth, "lambda_depth")
 
 
+# config key -> help text; the flag is --key with "_" written as "-"
+_FLAGS = {
+    "geometry": "builtin family name",
+    "k": "bundle parameter",
+    "n": "chain length",
+    "action": "torus action preset (antidiagonal, diagonal, generic, both)",
+    "degree": "degree box, integer or comma list",
+    "fiber_degree": "fiber degree of the projective bundle",
+    "lambda_depth": "weight window depth, overriding the default",
+    "delta_exponent": "discriminant exponent, a rational such as -7/48",
+    "jacobian_exponent": "jacobian exponent, a rational such as 1/2",
+}
+
+# command -> (handler, the config keys it reads that a flag may set)
 _COMMANDS = {
-    "gw": cmd_gw,
-    "verify-genus0": cmd_verify_genus0,
-    "verify-genus1": cmd_verify_genus1,
-    "verify-factored": cmd_verify_factored,
-    "verify-fibration": cmd_verify_fibration,
-    "pf-check": cmd_pf_check,
-    "genus1-fit": cmd_genus1_fit,
-    "an": cmd_an,
-    "trivalent": cmd_trivalent,
-    "a2-genus1": cmd_a2_genus1,
+    "gw": (cmd_gw, ("geometry", "k", "n", "action", "degree", "lambda_depth")),
+    "verify-genus0": (cmd_verify_genus0, ("k", "degree")),
+    "verify-genus1": (cmd_verify_genus1, ("k", "degree")),
+    "verify-factored": (cmd_verify_factored, ("k", "action", "degree", "lambda_depth")),
+    "verify-fibration": (cmd_verify_fibration, ("degree", "fiber_degree")),
+    "pf-check": (cmd_pf_check, ("k", "degree")),
+    "genus1-fit": (cmd_genus1_fit, ("k", "degree")),
+    "an": (cmd_an, ("n", "degree", "lambda_depth")),
+    "trivalent": (cmd_trivalent, ("action", "degree")),
+    "a2-genus1": (cmd_a2_genus1, ("degree", "delta_exponent", "jacobian_exponent")),
 }
 
 
@@ -361,18 +380,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in sorted(_COMMANDS):
         p = sub.add_parser(name)
-        p.add_argument("--geometry", help="builtin family name for gw")
-        p.add_argument("--k", type=int, help="bundle parameter")
-        p.add_argument("--n", type=int, help="chain length")
-        p.add_argument(
-            "--action",
-            help="torus action preset (antidiagonal, diagonal, generic, both)",
-        )
-        p.add_argument("--degree", help="degree box, integer or comma list")
-        p.add_argument("--fiber-degree", type=int, dest="fiber_degree")
-        p.add_argument("--lambda-depth", type=int, dest="lambda_depth")
-        p.add_argument("--delta-exponent", dest="delta_exponent")
-        p.add_argument("--jacobian-exponent", dest="jacobian_exponent")
+        for key in _COMMANDS[name][1]:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=_FLAGS[key])
         p.add_argument("--config", help="key = value file; flags override it")
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--format", choices=("json", "text"), default="text")
@@ -382,24 +391,15 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    handler, keys = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config) if args.config else {}
-        for key in (
-            "geometry",
-            "k",
-            "n",
-            "action",
-            "degree",
-            "fiber_degree",
-            "lambda_depth",
-            "delta_exponent",
-            "jacobian_exponent",
-        ):
-            value = getattr(args, key, None)
+        for key in keys:
+            value = getattr(args, key)
             if value is not None:
                 cfg[key] = value
         started = time.monotonic()
-        report, passed = _COMMANDS[args.command](args, cfg)
+        report, passed = handler(cfg)
     except BirkhoffError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .exact_core import rat, rat_str
 from .givental import ThetaOperator, geometry
-from .pipeline import ComparisonReport, restrict_w, run_pipeline
+from .pipeline import ComparisonReport, polylog_invert, restrict_w, run_pipeline, scalar_table
 from .series import (
     QSeries,
     RationalFunctionQ,
@@ -434,26 +434,11 @@ def bundle_genus1_fit(k, degree=6):
 # ---------------------------------------------------------------------------
 
 
-def bps_invert(values, weight=3):
-    """Multicover inversion of a dict {degree: coefficient} at given weight."""
-    out = {}
-    for d in sorted(values):
-        total = rat(values[d])
-        for m in range(2, d + 1):
-            if d % m:
-                continue
-            prev = out.get(d // m)
-            if prev is not None:
-                total = total - prev / rat(m) ** weight
-        if total != 0:
-            out[d] = total
-    return out
-
-
 def bundle_bps(k, dmax):
     """Integer counts underlying the bundle prepotential's instanton sum."""
-    raw = {d: prepotential_coefficient(k, d) for d in range(1, dmax + 1)}
-    return bps_invert(raw, 3)
+    sring = scalar_series_ring(dmax)
+    raw = prepotential_derivative(k, sring, 0)
+    return {degs[0]: n for degs, n in polylog_invert(raw, 3).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -613,9 +598,12 @@ def a2_genus1_check(
     res = run_pipeline(geom, tuple(box))
     sring = scalar_series_ring(tuple(box), names=("q1", "q2"))
 
-    inverse = tuple(_scalar_qseries(s, sring) for s in res.mirror.inverse)
-    corrections = tuple(_scalar_qseries(s, sring) for s in res.mirror.corrections)
-    jac = _scalar_qseries(res.mirror.jacobian(), sring)
+    def scalar(series):
+        return sring.from_rational_terms(scalar_table(series))
+
+    inverse = tuple(scalar(s) for s in res.mirror.inverse)
+    corrections = tuple(scalar(s) for s in res.mirror.corrections)
+    jac = scalar(res.mirror.jacobian())
 
     logdelta = a2_discriminant(sring).subs(inverse).log()
     logdet = jac.subs(inverse).log()
@@ -653,15 +641,6 @@ def a2_genus1_check(
         target_exponent=target_exponent,
         delta_exponent=delta_needed,
     )
-
-
-def _scalar_qseries(qs, sring):
-    terms = {}
-    for (degs, logs), value in qs.rational_items():
-        if any(logs):
-            raise ClosedFormError("scalar reduction expects log-free series")
-        terms[degs] = value
-    return sring.from_rational_terms(terms)
 
 
 def _proportionality(series, reference):
@@ -770,7 +749,7 @@ def bundle_mirror_check(k, degree=6):
     data = genus0_data(k)
     res = run_pipeline(geometry("x_k_factored", k, "antidiagonal"), (degree,))
     sring = scalar_series_ring(degree)
-    got = _scalar_qseries(res.mirror.corrections[0], sring)
+    got = sring.from_rational_terms(scalar_table(res.mirror.corrections[0]))
     want = data.correction(sring)
     diff = got - want
     return ComparisonReport(

@@ -602,6 +602,26 @@ class RingElem:
 # ---------------------------------------------------------------------------
 
 
+def _geometric_reciprocal(x: RingElem, lead_inv, jmax: int):
+    """sum_{j=0..jmax} lead_inv^(j+1) (-x)^j, the expansion of 1/(lead + x).
+
+    ``lead_inv`` is the inverse of a one-term lead commuting with x: a
+    rational or a one-term element.  Returns the sum and whether the tail
+    vanished exactly, i.e. some power x^j with j <= jmax + 1 is zero and
+    was never clipped.
+    """
+    total = x.ring.zero()
+    xj = x.ring.one()
+    coeff = lead_inv
+    for _ in range(jmax + 1):
+        total = total + xj * coeff
+        xj = xj * x
+        if xj.is_zero():
+            return total, not xj.truncated
+        coeff = coeff * -lead_inv
+    return total, False
+
+
 def expand_reciprocal_at_infinity(form: RingElem, lam, depth: int | None = None) -> RingElem:
     """Expansion of 1/form about lam = infinity.
 
@@ -625,25 +645,15 @@ def expand_reciprocal_at_infinity(form: RingElem, lam, depth: int | None = None)
         raise CoefficientError(
             f"weight {ring.lambda_names[i]} must carry unit coefficient to expand at infinity"
         )
-    x = RingElem(ring, rest)
     floor = ring.lambda_floor[i]
     if floor >= 0:
         raise CoefficientError("expansion at infinity requires a negative weight floor")
     jmax = -floor - 1
     if depth is not None:
         jmax = min(jmax, depth)
-    total = ring.zero()
-    xj = ring.one()
-    sign_int = 1 if s == 1 else -1
-    exact = False
-    for j in range(jmax + 1):
-        coeff = (1 if j % 2 == 0 else -1) * (sign_int ** (j + 1))
-        total = total + xj * ring.lam(i, -j - 1) * rat(coeff)
-        xj = xj * x
-        if xj.is_zero():
-            exact = not xj.truncated
-            break
-    return RingElem(total.ring, dict(total.terms), total.truncated or not exact)
+    # 1/(s lam) = s lam^-1 since s = +-1
+    total, exact = _geometric_reciprocal(RingElem(ring, rest), ring.lam(i, -1) * s, jmax)
+    return RingElem(ring, dict(total.terms), total.truncated or not exact)
 
 
 def reciprocal_hbar_linear(form: RingElem) -> RingElem:
@@ -665,20 +675,9 @@ def reciprocal_hbar_linear(form: RingElem) -> RingElem:
             raise CoefficientError("form is not linear in hbar")
     if m == 0:
         raise CoefficientError("zero hbar coefficient: denominator factor degenerates")
-    x = RingElem(ring, rest)
-    jmax = -ring.hbar_min - 1
-    total = ring.zero()
-    xj = ring.one()
-    minv = rat(1) / m
-    exact = False
-    for j in range(jmax + 1):
-        coeff = minv ** (j + 1) * (1 if j % 2 == 0 else -1)
-        total = total + xj * ring.hbar(-j - 1) * coeff
-        xj = xj * x
-        if xj.is_zero():
-            exact = not xj.truncated
-            break
-    return RingElem(total.ring, dict(total.terms), total.truncated or not exact)
+    lead_inv = ring.hbar(-1) * (_R1 / m)
+    total, exact = _geometric_reciprocal(RingElem(ring, rest), lead_inv, -ring.hbar_min - 1)
+    return RingElem(ring, dict(total.terms), total.truncated or not exact)
 
 
 def elem_invert(e: RingElem) -> RingElem:
@@ -691,13 +690,7 @@ def elem_invert(e: RingElem) -> RingElem:
     rest = {k: c for k, c in e.terms.items() if k != unit_key}
     if any(b == 0 for (b, _, _) in rest):
         raise CoefficientError("non-nilpotent correction: element is not series-invertible")
-    rinv = rat(1) / r
-    w = RingElem(ring, rest) * rinv
-    total = ring.one()
-    wj = ring.one()
-    for _ in range(ring.algebra.top_degree):
-        wj = wj * w * rat(-1)
-        if wj.is_zero():
-            break
-        total = total + wj
-    return total * rinv
+    # the correction is nilpotent of order <= top_degree + 1, so the tail
+    # always vanishes and the exactness flag carries no information
+    total, _ = _geometric_reciprocal(RingElem(ring, rest), _R1 / r, ring.algebra.top_degree)
+    return total

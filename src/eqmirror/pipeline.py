@@ -384,6 +384,16 @@ def restrict_w(w, assignments=None):
     )
 
 
+def scalar_table(series):
+    """``{degs: rational}`` of a log-free series with rational coefficients."""
+    table = {}
+    for (degs, logs), value in series.rational_items():
+        if any(logs):
+            raise PipelineError("scalar reduction expects a log-free series")
+        table[degs] = value
+    return table
+
+
 def polylog_invert(series, weight):
     """Solve series = sum_beta N_beta Li_weight(x^beta) for the N_beta."""
     out = {}
@@ -591,15 +601,6 @@ def fibration_correspondence_check(degree=4, fiber_degree=2):
     resy = run_pipeline(gy, (degree, fiber_degree))
 
     checks = []
-
-    def scalar_table(series):
-        table = {}
-        for (degs, logs), value in series.rational_items():
-            if any(logs):
-                raise PipelineError("bracket components must be log free")
-            if value != 0:
-                table[degs] = value
-        return table
 
     # mirror corrections: g(q) vs g_1(q_1); sigma's weight part vs g_2;
     # everything on the projective side must be free of the second variable

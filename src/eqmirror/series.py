@@ -52,6 +52,21 @@ class SeriesError(ValueError):
     """Raised on invalid series operations (shape, leading term, reversion)."""
 
 
+def _accumulate(out: dict, key, c: RingElem):
+    """Add ``c`` into ``out[key]``, dropping the key when the sum is zero.
+
+    A zero ``c`` is skipped, so its truncation flag is not merged in.
+    """
+    if c.is_zero():
+        return
+    prev = out.get(key)
+    prev = c if prev is None else prev + c
+    if prev.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = prev
+
+
 def scalar_coeff_ring(hbar_min: int = 0, hbar_max: int = 0) -> CoeffRing:
     """Coefficient tower with trivial cohomology and no weight variables."""
     algebra = CohomAlgebra((), ((),), {(0, 0): ((0, _R1),)}, 0)
@@ -112,9 +127,6 @@ class SeriesRing:
         for degs, c in terms.items():
             data[(tuple(degs), z)] = self.coeff.scalar(c)
         return QSeries(self, data)
-
-    def with_coeff(self, coeff: CoeffRing) -> "SeriesRing":
-        return SeriesRing(coeff, self.variables, self.box)
 
     def degree_keys(self):
         """All degree tuples inside the box, in graded order."""
@@ -207,12 +219,7 @@ class QSeries:
             raise SeriesError("cannot add prefactor and plain series")
         out = dict(self.data)
         for k, c in other.data.items():
-            nc = out.get(k)
-            nc = c if nc is None else nc + c
-            if nc.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = nc
+            _accumulate(out, k, c)
         return QSeries(self.sring, out, self.prefactor or other.prefactor)
 
     __radd__ = __add__
@@ -320,22 +327,12 @@ class QSeries:
             raise SeriesError("plain theta on a prefactor series loses terms")
         out = {}
 
-        def accumulate(key, c):
-            if c.is_zero():
-                return
-            prev = out.get(key)
-            prev = c if prev is None else prev + c
-            if prev.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = prev
-
         for (degs, logs), c in self.data.items():
             if degs[i]:
-                accumulate((degs, logs), c * rat(degs[i]))
+                _accumulate(out, (degs, logs), c * rat(degs[i]))
             if logs[i]:
                 lowered = tuple(e - (1 if j == i else 0) for j, e in enumerate(logs))
-                accumulate((degs, lowered), c * rat(logs[i]))
+                _accumulate(out, (degs, lowered), c * rat(logs[i]))
         return QSeries(self.sring, out)
 
     def theta_weighted(self, i: int) -> "QSeries":
@@ -348,21 +345,11 @@ class QSeries:
         hb = ring.hbar()
         out = {}
 
-        def accumulate(key, c):
-            if c.is_zero():
-                return
-            prev = out.get(key)
-            prev = c if prev is None else prev + c
-            if prev.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = prev
-
         for (degs, logs), c in self.data.items():
-            accumulate((degs, logs), c * (p_i + hb * rat(degs[i])))
+            _accumulate(out, (degs, logs), c * (p_i + hb * rat(degs[i])))
             if logs[i]:
                 lowered = tuple(e - (1 if j == i else 0) for j, e in enumerate(logs))
-                accumulate((degs, lowered), c * hb * rat(logs[i]))
+                _accumulate(out, (degs, lowered), c * hb * rat(logs[i]))
         return QSeries(self.sring, out, True)
 
     # -- analytic operations ----------------------------------------------------

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -10,6 +12,7 @@ from eqmirror import pipeline
 
 from eqmirror.cli import (
     ConfigError,
+    build_parser,
     geometry_from_config,
     load_config,
     main,
@@ -305,3 +308,87 @@ def test_bad_degree_exits_2_without_traceback():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: degree must be an integer, got '3,3'\n"
+
+
+# the computation flags each command takes; --config, --out, --format and
+# --help are on every command
+COMMAND_FLAGS = {
+    "gw": {"--geometry", "--k", "--n", "--action", "--degree", "--lambda-depth"},
+    "verify-genus0": {"--k", "--degree"},
+    "verify-genus1": {"--k", "--degree"},
+    "verify-factored": {"--k", "--action", "--degree", "--lambda-depth"},
+    "verify-fibration": {"--degree", "--fiber-degree"},
+    "pf-check": {"--k", "--degree"},
+    "genus1-fit": {"--k", "--degree"},
+    "an": {"--n", "--degree", "--lambda-depth"},
+    "trivalent": {"--action", "--degree"},
+    "a2-genus1": {"--degree", "--delta-exponent", "--jacobian-exponent"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_help_lists_exactly_the_declared_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == COMMAND_FLAGS[command] | {"--help", "--config", "--out", "--format"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pf-check", "--k", "2", "--lambda-depth", "3"),
+        ("an", "--n", "2", "--action", "diagonal"),
+        ("verify-fibration", "--degree", "2", "--k", "1"),
+        ("pf-check", "--k", "2", "--fiber-degree", "9", "--geometry", "nonsense", "--degree", "4"),
+    ],
+    ids=["pf-check-lambda-depth", "an-action", "fibration-k", "pf-check-many"],
+)
+def test_unread_flag_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: eqmirror")
+    assert "error: unrecognized arguments: %s" % argv[3] in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_non_integer_flag_goes_through_config_error(capsys):
+    rc, out, err = run_cli(capsys, "verify-genus0", "--k", "two")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: k must be an integer, got 'two'\n"
+
+
+def test_config_keys_a_command_does_not_read_are_accepted(capsys, tmp_path):
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("k = 2\ndegree = 4\nfiber_degree = 9\nlambda_depth = 3\ngeometry = nonsense\n")
+    rc, out, _ = run_cli(capsys, "pf-check", "--config", str(cfg))
+    assert rc == 0
+    assert "annihilated" in out
+
+
+def _benchmark_commands():
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CLI_COMMANDS["full"]
+
+
+def _readme_commands():
+    path = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(path, encoding="utf-8") as fh:
+        return [line[len("$ eqmirror "):].split() for line in fh if line.startswith("$ eqmirror ")]
+
+
+def test_documented_command_lines_parse():
+    commands = [cmd.split() for cmd in _benchmark_commands()] + _readme_commands()
+    assert len(commands) >= 12
+    assert {argv[0] for argv in commands} == set(COMMAND_FLAGS)
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

@@ -11,7 +11,6 @@ from eqmirror.closed_forms import (
     a2_genus1_check,
     amodel_prepotential,
     an_prepotential,
-    bps_invert,
     bundle_bps,
     bundle_genus1_fit,
     bundle_mirror_check,
@@ -34,6 +33,7 @@ from eqmirror.closed_forms import (
     yukawa_check,
 )
 from eqmirror.exact_core import rat
+from eqmirror.pipeline import polylog_invert
 from eqmirror.series import RationalFunctionQ
 
 from oracles import instanton_coefficient, lagrange_inverse, multicover_invert
@@ -187,20 +187,31 @@ def test_bps_counts():
     assert bundle_bps(2, 3) == {1: rat(-1), 2: rat(-2), 3: rat(-12)}
 
 
+def one_variable_series(values, dmax):
+    """The scalar series sum_d values[d] q^d through q^dmax."""
+    return scalar_series_ring(dmax).from_rational_terms({(d,): v for d, v in values.items()})
+
+
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_bps_against_mobius_inversion(k):
     values = {d: prepotential_coefficient(k, d) for d in range(1, 7)}
-    got = bps_invert(values, 3)
+    got = polylog_invert(one_variable_series(values, 6), 3)
     want = multicover_invert(
         {d: Fraction(v.numerator, v.denominator) for d, v in values.items()}, 3
     )
-    assert {d: Fraction(v.numerator, v.denominator) for d, v in got.items()} == want
+    assert {d: Fraction(v.numerator, v.denominator) for (d,), v in got.items()} == want
 
 
 def test_bps_invert_other_weights():
+    # at weight 2, N_1 Li_2(q) reaches every degree: q^d carries N_1 / d^2
     n = {1: rat(2), 2: rat(-1)}
-    values = {1: n[1], 2: n[2] + n[1] / rat(4), 4: n[2] / rat(4) + n[1] / rat(16)}
-    assert bps_invert(values, 2) == {1: rat(2), 2: rat(-1)}
+    values = {
+        1: n[1],
+        2: n[2] + n[1] / rat(4),
+        3: n[1] / rat(9),
+        4: n[2] / rat(4) + n[1] / rat(16),
+    }
+    assert polylog_invert(one_variable_series(values, 4), 2) == {(1,): rat(2), (2,): rat(-1)}
 
 
 def test_chain_classes():

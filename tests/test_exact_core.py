@@ -245,3 +245,103 @@ def test_split_and_scalar_readers():
 def test_algebra_rejects_non_nilpotent_presentations():
     with pytest.raises(AlgebraError):
         algebra_from_relations(("p",), (), max_degree=8)
+
+
+# ---------------------------------------------------------------------------
+# the shared geometric-series reciprocal against the explicit formulas
+# ---------------------------------------------------------------------------
+
+
+def reference_reciprocal_at_infinity(form, lam, depth=None):
+    """sum_j (-1)^j s^(j+1) x^j lam^(-j-1) written out term by term."""
+    ring = form.ring
+    i = ring.lambda_names.index(lam)
+    s = next(c for (b, lexps, h), c in form.terms.items() if lexps[i])
+    x = RingElem(ring, {k: c for k, c in form.terms.items() if not k[1][i]})
+    jmax = -ring.lambda_floor[i] - 1
+    if depth is not None:
+        jmax = min(jmax, depth)
+    total, xj, exact = ring.zero(), ring.one(), False
+    for j in range(jmax + 1):
+        total = total + xj * ring.lam(i, -j - 1) * rat((-1) ** j * int(s) ** (j + 1))
+        xj = xj * x
+        if xj.is_zero():
+            exact = not xj.truncated
+            break
+    return RingElem(ring, dict(total.terms), total.truncated or not exact)
+
+
+def reference_reciprocal_hbar(form):
+    """sum_j (-1)^j m^(-j-1) x^j hbar^(-j-1) written out term by term."""
+    ring = form.ring
+    m = next(c for (b, lexps, h), c in form.terms.items() if h == 1)
+    x = RingElem(ring, {k: c for k, c in form.terms.items() if k[2] == 0})
+    total, xj, exact = ring.zero(), ring.one(), False
+    for j in range(-ring.hbar_min):
+        total = total + xj * ring.hbar(-j - 1) * ((rat(1) / m) ** (j + 1) * (-1) ** j)
+        xj = xj * x
+        if xj.is_zero():
+            exact = not xj.truncated
+            break
+    return RingElem(ring, dict(total.terms), total.truncated or not exact)
+
+
+def reference_elem_invert(e):
+    """r^-1 sum_j (-w)^j with w = (e - r) / r, up to the top degree."""
+    ring = e.ring
+    unit = (0, (0,) * ring.nlambda, 0)
+    rinv = rat(1) / e.terms[unit]
+    w = RingElem(ring, {k: c for k, c in e.terms.items() if k != unit}) * rinv
+    total, wj = ring.one(), ring.one()
+    for _ in range(ring.algebra.top_degree):
+        wj = wj * w * rat(-1)
+        if wj.is_zero():
+            break
+        total = total + wj
+    return total * rinv
+
+
+def cubic_algebra():
+    return algebra_from_relations(("p",), ({(3,): 1},))
+
+
+nonzero_rat = st.builds(rat, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+coeff_or_zero = st.one_of(st.just(0), nonzero_rat)
+window = st.tuples(st.integers(-6, 0), st.integers(0, 4))
+
+
+def same(got, want):
+    return got.terms == want.terms and got.truncated == want.truncated
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(-6, -1), window, st.sampled_from((1, -1)),
+    coeff_or_zero, coeff_or_zero, coeff_or_zero, st.one_of(st.none(), st.integers(-1, 6)),
+)
+def test_reciprocal_at_infinity_matches_formula(floor, hwin, s, cp, ch, cmu, depth):
+    ring = CoeffRing(cubic_algebra(), ("lam", "mu"), (floor, -2), *hwin)
+    form = ring.lam("lam") * rat(s) + ring.p("p") * cp + ring.hbar(1) * ch + ring.lam("mu") * cmu
+    got = expand_reciprocal_at_infinity(form, "lam", depth)
+    assert same(got, reference_reciprocal_at_infinity(form, "lam", depth))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-6, 0), nonzero_rat, coeff_or_zero, coeff_or_zero, st.integers(-3, 0))
+def test_reciprocal_hbar_linear_matches_formula(hbar_min, m, cp, clam, lam_floor):
+    ring = CoeffRing(cubic_algebra(), ("lam",), (lam_floor,), hbar_min, 1)
+    form = ring.hbar(1) * m + ring.p("p") * cp + ring.lam("lam") * clam
+    assert same(reciprocal_hbar_linear(form), reference_reciprocal_hbar(form))
+
+
+nilpotent_key = st.tuples(st.integers(1, 2), st.tuples(st.integers(-2, 2)), st.integers(-2, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    window, st.integers(-3, 0), nonzero_rat, st.dictionaries(nilpotent_key, nonzero_rat, max_size=4)
+)
+def test_elem_invert_matches_formula(hwin, lam_floor, r, tail):
+    ring = CoeffRing(cubic_algebra(), ("lam",), (lam_floor,), *hwin)
+    e = ring.scalar(r) + ring.elem(tail)
+    assert same(elem_invert(e), reference_elem_invert(e))

@@ -75,6 +75,46 @@ def test_shallow_window_is_refused():
         run_pipeline(geometry("x_k", 1, "antidiagonal"), (4,), lambda_depth=3)
 
 
+def lam_top(i_series):
+    return max(lexps[0] for c in i_series.data.values() for (_, lexps, _) in c.terms)
+
+
+def i_series_on(geom, box, **windows):
+    return ifunction(geom, default_series_ring(geom, box, **windows))
+
+
+def test_birkhoff_weight_window_thresholds():
+    # x_k(1)@(2,) reaches lam^4, so the documented rule is hbar_max >= 5, a
+    # lam floor <= -5 (lambda_depth 5) and hbar_min <= -8
+    g = geometry("x_k", 1, "antidiagonal")
+    edge = {"lambda_depth": 5, "hbar_min": -8, "hbar_max": 5}
+    for windows in (edge, {"lambda_depth": 6, "hbar_min": -9, "hbar_max": 6}):
+        i_series = i_series_on(g, (2,), **windows)
+        assert lam_top(i_series) == 4
+        birkhoff(i_series)
+    message = "needs hbar_max >= 5, a lam floor <= -5, and hbar_min <= -8"
+    for name, value in (("hbar_max", 4), ("lambda_depth", 4), ("hbar_min", -7)):
+        i_series = i_series_on(g, (2,), **dict(edge, **{name: value}))
+        assert lam_top(i_series) == 4
+        with pytest.raises(BirkhoffError, match=message):
+            birkhoff(i_series)
+
+
+def test_birkhoff_hbar_floor_threshold():
+    # the post-hoc floor: need = max(2, 2 + deg_hbar c_0, 3 + deg_hbar c_i)
+    g = geometry("a_n", 2)
+    c0, *ci = birkhoff(i_series_on(g, (2, 2))).c
+    need = max(
+        [2]
+        + [2 + e.max_hbar_degree() for e in c0.data.values()]
+        + [3 + e.max_hbar_degree() for c in ci for e in c.data.values()]
+    )
+    assert need == 2
+    birkhoff(i_series_on(g, (2, 2), hbar_min=-need))
+    with pytest.raises(BirkhoffError, match="hbar floor -1 too shallow .* need <= -2"):
+        birkhoff(i_series_on(g, (2, 2), hbar_min=1 - need))
+
+
 def test_easyj_mirror_maps():
     res = run_pipeline(easyj(), (4,))
     sr = res.sring
