@@ -385,12 +385,15 @@ def build_parser():
         p.add_argument("--config", help="key = value file; flags override it")
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--format", choices=("json", "text"), default="text")
+        p.set_defaults(usage_error=p.error)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:
+        # the command's own usage line lists the flags it does take
+        args.usage_error("unrecognized arguments: %s" % " ".join(unread))
     handler, keys = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config) if args.config else {}

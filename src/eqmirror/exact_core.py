@@ -653,7 +653,7 @@ def expand_reciprocal_at_infinity(form: RingElem, lam, depth: int | None = None)
         jmax = min(jmax, depth)
     # 1/(s lam) = s lam^-1 since s = +-1
     total, exact = _geometric_reciprocal(RingElem(ring, rest), ring.lam(i, -1) * s, jmax)
-    return RingElem(ring, dict(total.terms), total.truncated or not exact)
+    return RingElem(ring, dict(total.terms), total.truncated or not exact or form.truncated)
 
 
 def reciprocal_hbar_linear(form: RingElem) -> RingElem:
@@ -677,7 +677,7 @@ def reciprocal_hbar_linear(form: RingElem) -> RingElem:
         raise CoefficientError("zero hbar coefficient: denominator factor degenerates")
     lead_inv = ring.hbar(-1) * (_R1 / m)
     total, exact = _geometric_reciprocal(RingElem(ring, rest), lead_inv, -ring.hbar_min - 1)
-    return RingElem(ring, dict(total.terms), total.truncated or not exact)
+    return RingElem(ring, dict(total.terms), total.truncated or not exact or form.truncated)
 
 
 def elem_invert(e: RingElem) -> RingElem:
@@ -691,6 +691,6 @@ def elem_invert(e: RingElem) -> RingElem:
     if any(b == 0 for (b, _, _) in rest):
         raise CoefficientError("non-nilpotent correction: element is not series-invertible")
     # the correction is nilpotent of order <= top_degree + 1, so the tail
-    # always vanishes and the exactness flag carries no information
+    # always vanishes; a clipped input makes a clipped inverse
     total, _ = _geometric_reciprocal(RingElem(ring, rest), _R1 / r, ring.algebra.top_degree)
-    return total
+    return RingElem(ring, dict(total.terms), total.truncated or e.truncated)

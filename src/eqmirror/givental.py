@@ -17,14 +17,47 @@ the degree d with column j and D_j = sum_i l^j_i p_i + w_j,
 The m = 0 factor of a negative column is kept unless D_j vanishes
 identically.  Reciprocal factors are Laurent-expanded exactly: in 1/lambda
 for columns whose weight is marked dominant (``infinity_weights``), in
-1/hbar otherwise.  Multiplication order (polynomial numerators, then
-1/lambda factors, then 1/hbar factors) makes window clipping loss-free:
-hbar-degrees only rise during the first two phases, where the construction
-ring keeps an enlarged ceiling, and only fall afterwards, so a term dropped
-at the floor can never climb back into the retained window.
+1/hbar otherwise.
+
+C_d is built as a running product along degree chains.  Its predecessor is
+the first d - e_i (in ``degree_keys`` order) whose numerator, 1/lambda and
+1/hbar factor multisets all lie inside d's, or else the zero degree with
+product 1; d multiplies the predecessor's stored product by the factors it
+lacks, numerators first, then 1/lambda factors, then 1/hbar factors.  A
+stored product is dropped once its last child is built.
+
+Window clipping stays loss-free: a term dropped on the way can never reach
+a retained term of any C_d.
+
+* lambda: one construction floor for the box, ``pad`` below the ring's,
+  with pad the largest number of numerators carrying a dominant weight in
+  any C_d.  A numerator lifts a weight's exponent by at most one and a
+  1/lambda factor lowers it by at least one, so a product's exponent plus
+  the lift of the numerators still to come is at most pad: a term, or an
+  expansion order, cut at the construction floor ends below the ring's.
+* hbar ceiling: every factor is homogeneous of degree +-1 in p, lambda and
+  hbar, so no partial product reaches past the largest numerator count
+  plus sum(pad - floor) over the negative lambda floors; one ceiling that
+  high serves the box and clips nothing.
+* hbar floor: of the factors a product still lacks towards a descendant
+  along its chain, a numerator lifts hbar by at most one, a 1/hbar factor
+  lowers it by at least one, and a 1/lambda factor lifts it by j on the
+  order-j term, which lowers the weight by j + 1.  The 1/lambda factors of
+  one weight therefore lift by at most that weight's exponent in the
+  descendant (numerators carrying it minus its 1/lambda factors) minus the
+  ring's floor.  Each product keeps hbar exponents down to the ring's
+  floor minus the largest such lift over its descendants (the per-chain
+  floor slack, never negative), so a term clipped there cannot climb back.
+* truncated 1/hbar expansions: a 1/hbar expansion cut at the floor misses
+  its lower orders, and multiplying it into a product whose hbar exponents
+  reach h would bring them back h levels up, less one for each 1/hbar
+  factor the same degree still multiplies in after it.  Such an expansion
+  is taken that much deeper; weighted divisors, whose expansions are the
+  cut ones, go first.
 """
 
 import itertools
+from collections import Counter
 from math import comb
 
 from .exact_core import (
@@ -384,55 +417,83 @@ def default_series_ring(geom, box, lambda_depth=None, hbar_min=None, hbar_max=No
 # ---------------------------------------------------------------------------
 
 
-def _degree_coefficient(geom, ring, degs):
-    numerators = []
-    at_infinity = []
-    hbar_adic = []
+def _factors(geom, degs):
+    """The factors of C_d as three multisets of ``(charges, m, weight)``:
+    numerators, 1/lambda reciprocals and 1/hbar reciprocals."""
+    numerators, at_infinity, hbar_adic = Counter(), Counter(), Counter()
     for j in range(geom.ncols):
         charges = tuple(row[j] for row in geom.mori)
         pairing = geom.column_pairing(degs, j)
         w = geom.weights[j]
-        if pairing == 0:
-            continue
         if pairing < 0:
-            for m in range(pairing + 1, 1):
-                numerators.append((charges, m, w))
+            numerators.update((charges, m, w) for m in range(pairing + 1, 1))
         elif w is not None and w[0] in geom.infinity_weights:
-            for m in range(1, pairing + 1):
-                at_infinity.append((charges, m, w))
+            at_infinity.update((charges, m, w) for m in range(1, pairing + 1))
         else:
-            for m in range(1, pairing + 1):
-                hbar_adic.append((charges, m, w))
+            hbar_adic.update((charges, m, w) for m in range(1, pairing + 1))
+    return numerators, at_infinity, hbar_adic
 
-    # Numerator factors carrying a dominant weight raise that lambda before
-    # the 1/lambda expansions multiply in, so the expansion depth must grow
-    # by one per such factor or in-window products would lose terms.
-    lam_pad = sum(
-        1 for charges, m, w in numerators if w is not None and w[0] in geom.infinity_weights
-    )
-    # Every factor is homogeneous (weights, divisor classes, and hbar all
-    # count degree one), so a partial product of g factors has hbar degree
-    # at most g minus its total lambda/divisor degree; the work ceiling
-    # below can therefore never clip honest content.
-    ceiling = len(numerators)
-    for floor in ring.lambda_floor:
-        if floor < 0:
-            ceiling += -(floor - lam_pad)
-    work = ring.widened(lam_extra=lam_pad, h_hi=max(0, ceiling - ring.hbar_max))
 
-    total = work.one()
-    for charges, m, w in numerators:
-        form = work.linear_form(charges, m, w)
-        if form.is_zero():
-            continue  # identically zero divisor class: drop the m = 0 factor
-        total = total * form
-    for charges, m, w in at_infinity:
-        form = work.linear_form(charges, m, w)
-        total = total * expand_reciprocal_at_infinity(form, w[0])
-    for charges, m, w in hbar_adic:
-        form = work.linear_form(charges, m, w)
-        total = total * reciprocal_hbar_linear(form)
-    return ring.convert(total)
+def _chain(keys, factors):
+    """Each degree's predecessor: the first d - e_i in ``degree_keys`` order
+    whose factor multisets all lie inside d's, else the zero degree."""
+    parent = {}
+    for d in keys[1:]:
+        parent[d] = keys[0]
+        for i in range(len(d)):
+            if d[i]:
+                cand = d[:i] + (d[i] - 1,) + d[i + 1 :]
+                if all(a <= b for a, b in zip(factors[cand], factors[d])):
+                    parent[d] = cand
+                    break
+    return parent
+
+
+def _floor_slack(geom, ring, keys, parent, factors):
+    """How far below the ring's hbar floor each product must reach.
+
+    ``lift(a, b, e)`` bounds the hbar lift that the factors of C_e still
+    missing from a product with a's numerators and b's reciprocals can give
+    a term of that product whose image stays in the ring's windows (module
+    docstring).  ``keep[d]`` serves the product stored for d's children,
+    ``recip[d]`` the product taking d's new reciprocals; both are the
+    largest lift over the descendants along the chain, and at least 0.
+    """
+    counts = {}
+    for d, (numerators, at_infinity, hbar_adic) in factors.items():
+        cuts, net = Counter(), Counter()
+        for (_, _, w), n in numerators.items():
+            if w is not None and w[0] in geom.infinity_weights:
+                net[w[0]] += n
+        for (_, _, w), n in at_infinity.items():
+            cuts[w[0]] += n
+            net[w[0]] -= n
+        counts[d] = (sum(numerators.values()), sum(hbar_adic.values()), cuts, net)
+    dominant = [
+        (name, floor)
+        for name, floor in zip(ring.lambda_names, ring.lambda_floor)
+        if name in geom.infinity_weights
+    ]
+
+    def lift(a, b, e):
+        n_num, n_hbar, cuts, net = counts[e]
+        out = n_num - counts[a][0] - (n_hbar - counts[b][1])
+        for name, floor in dominant:
+            if cuts[name] > counts[b][2][name]:
+                out += max(0, net[name] - floor)
+        return out
+
+    keep, recip = Counter(), Counter()
+    for e in keys[1:]:
+        d = e
+        while d != keys[0]:
+            p = parent[d]
+            recip[d] = max(recip[d], lift(d, p, e))
+            keep[p] = max(keep[p], lift(p, p, e))
+            d = p
+    for d in keys[1:]:
+        recip[d] = max(recip[d], keep[d])
+    return keep, recip
 
 
 def ifunction(geom, sring):
@@ -440,6 +501,7 @@ def ifunction(geom, sring):
 
     Returns a prefactor-flagged :class:`QSeries`: the stored coefficients
     are the bracket part, with e^{sum p_i log q_i / hbar} kept symbolic.
+    Each C_d is its predecessor's product times the factors it lacks.
     """
     ring = sring.coeff
     if ring.algebra is not geom.algebra:
@@ -448,13 +510,89 @@ def ifunction(geom, sring):
         raise GeometryError("series ring lambda names disagree with the geometry")
     if sring.nvars != geom.nrows:
         raise GeometryError("series ring needs one variable per curve class")
+    keys = sring.degree_keys()
+    root = keys[0]
+    factors = {d: _factors(geom, d) for d in keys}
+    parent = _chain(keys, factors)
+    new = {d: tuple(a - b for a, b in zip(factors[d], factors[parent[d]])) for d in keys[1:]}
+    keep, recip = _floor_slack(geom, ring, keys, parent, factors)
+
+    # one lambda pad and one hbar ceiling for the whole box
+    pad = max(
+        sum(n for (_, _, w), n in f[0].items() if w is not None and w[0] in geom.infinity_weights)
+        for f in factors.values()
+    )
+    ceiling = max(sum(f[0].values()) for f in factors.values())
+    ceiling += sum(pad - floor for floor in ring.lambda_floor if floor < 0)
+    rings = {}
+
+    def work(slack):
+        got = rings.get(slack)
+        if got is None:
+            got = rings[slack] = ring.widened(
+                lam_extra=pad, h_lo=slack, h_hi=max(0, ceiling - ring.hbar_max)
+            )
+        return got
+
+    # reciprocal expansions by factor and work ring, dropped after last use
+    expansions = {}
+    uses = Counter()
+    for d in keys[1:]:
+        _, at_infinity, hbar_adic = new[d]
+        for factor, n in (at_infinity + hbar_adic).items():
+            uses[(factor, recip[d])] += n
+
+    def reciprocal(factor, slack):
+        key = (factor, slack)
+        got = expansions.get(key)
+        if got is None:
+            charges, m, w = factor
+            form = work(slack).linear_form(charges, m, w)
+            if w is not None and w[0] in geom.infinity_weights:
+                got = expand_reciprocal_at_infinity(form, w[0])
+            else:
+                got = reciprocal_hbar_linear(form)
+            expansions[key] = got
+        uses[key] -= 1
+        if not uses[key]:
+            del expansions[key]
+        return got
+
+    children = Counter(parent.values())
     zl = (0,) * sring.nvars
-    data = {}
-    for degs in sring.degree_keys():
-        if any(degs):
-            data[(degs, zl)] = _degree_coefficient(geom, ring, degs)
-        else:
-            data[(degs, zl)] = ring.one()
+    data = {(root, zl): ring.one()}
+    stored = {root: work(keep[root]).one()}
+    for d in keys[1:]:
+        p = parent[d]
+        total = stored[p]
+        children[p] -= 1
+        if not children[p]:
+            del stored[p]
+        numerators, at_infinity, hbar_adic = new[d]
+        for charges, m, w in numerators.elements():
+            form = total.ring.linear_form(charges, m, w)
+            if form.is_zero():
+                continue  # identically zero divisor class: drop the m = 0 factor
+            total = total * form
+        w_ring = work(recip[d])
+        total = w_ring.convert(total)
+        for factor in at_infinity.elements():
+            total = total * reciprocal(factor, recip[d])
+        # weighted divisors first: their expansions are the clipped ones, and
+        # each exact 1/hbar factor after them lowers what the clipping missed
+        pending = sorted(hbar_adic.elements(), key=lambda f: f[2] is None)
+        for i, factor in enumerate(pending):
+            r = reciprocal(factor, recip[d])
+            extra = total.max_hbar_degree() - (len(pending) - 1 - i) if r.truncated else 0
+            if extra > 0:
+                deep = work(recip[d] + extra)
+                r = reciprocal_hbar_linear(deep.linear_form(*factor))
+                total = w_ring.convert(deep.convert(total) * r)
+            else:
+                total = total * r
+        if children[d]:
+            stored[d] = work(keep[d]).convert(total)
+        data[(d, zl)] = ring.convert(total)
     return QSeries(sring, data, prefactor=True)
 
 

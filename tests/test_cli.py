@@ -351,8 +351,12 @@ def test_unread_flag_is_a_usage_error(capsys, argv):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("usage: eqmirror")
-    assert "error: unrecognized arguments: %s" % argv[3] in captured.err
+    # the command's parser reports it, and its usage lists the command's flags
+    usage, _, message = captured.err.partition("\neqmirror %s: error: " % argv[0])
+    assert usage.startswith("usage: eqmirror %s " % argv[0])
+    listed = set(re.findall(r"--[a-z][a-z-]*", usage))
+    assert listed == COMMAND_FLAGS[argv[0]] | {"--config", "--out", "--format"}
+    assert message.startswith("unrecognized arguments: %s" % argv[3])
     assert "Traceback" not in captured.err
 
 

@@ -215,6 +215,22 @@ def test_elem_invert_rejects_scalar_tails():
         elem_invert(ring.one() + ring.lam("lam"))
 
 
+def test_inverses_keep_the_truncated_flag():
+    # a term clipped from the input leaves every reciprocal of it inexact
+    ring = CoeffRing(line_algebra(), ("lam",), (-4,), hbar_min=-2, hbar_max=2)
+    p, h = ring.p("p"), ring.hbar(1)
+    e = ring.scalar(2) + p * h + ring.hbar(3)
+    assert e.truncated
+    inv = elem_invert(e)
+    assert inv.truncated
+    assert inv == ring.scalar(rat(1, 2)) - p * h * rat(1, 4)
+    clipped = ring.hbar(5)
+    assert not reciprocal_hbar_linear(h + p).truncated
+    assert reciprocal_hbar_linear(h + p + clipped).truncated
+    assert not expand_reciprocal_at_infinity(ring.lam("lam") + p, "lam").truncated
+    assert expand_reciprocal_at_infinity(ring.lam("lam") + p + clipped, "lam").truncated
+
+
 def test_convert_between_windows():
     tight = CoeffRing(line_algebra(), ("lam",), (-2,), hbar_min=-2, hbar_max=2)
     wide = tight.widened(lam_extra=2, h_lo=2, h_hi=2)
@@ -268,7 +284,7 @@ def reference_reciprocal_at_infinity(form, lam, depth=None):
         if xj.is_zero():
             exact = not xj.truncated
             break
-    return RingElem(ring, dict(total.terms), total.truncated or not exact)
+    return RingElem(ring, dict(total.terms), total.truncated or not exact or form.truncated)
 
 
 def reference_reciprocal_hbar(form):
@@ -283,11 +299,12 @@ def reference_reciprocal_hbar(form):
         if xj.is_zero():
             exact = not xj.truncated
             break
-    return RingElem(ring, dict(total.terms), total.truncated or not exact)
+    return RingElem(ring, dict(total.terms), total.truncated or not exact or form.truncated)
 
 
 def reference_elem_invert(e):
-    """r^-1 sum_j (-w)^j with w = (e - r) / r, up to the top degree."""
+    """r^-1 sum_j (-w)^j with w = (e - r) / r, up to the top degree,
+    flagged when e is."""
     ring = e.ring
     unit = (0, (0,) * ring.nlambda, 0)
     rinv = rat(1) / e.terms[unit]
@@ -298,7 +315,8 @@ def reference_elem_invert(e):
         if wj.is_zero():
             break
         total = total + wj
-    return total * rinv
+    total = total * rinv
+    return RingElem(ring, dict(total.terms), total.truncated or e.truncated)
 
 
 def cubic_algebra():

@@ -1,6 +1,14 @@
-import pytest
+import importlib.util
+import os
 
-from eqmirror.exact_core import rat
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from eqmirror.exact_core import (
+    expand_reciprocal_at_infinity,
+    rat,
+    reciprocal_hbar_linear,
+)
 from eqmirror.givental import (
     GeometryError,
     GeometrySpec,
@@ -16,7 +24,7 @@ from eqmirror.givental import (
     x_k_factored,
     y_k,
 )
-from eqmirror.series import SeriesRing, scalar_coeff_ring
+from eqmirror.series import QSeries, SeriesRing, scalar_coeff_ring
 
 
 def test_bundle_factories():
@@ -250,3 +258,171 @@ def test_annihilation_conifold():
     q = ThetaOperator.q_shift(ring, 1)
     op = th * th - q * (th - ring.lam("lam1")) * (th - ring.lam("lam2"))
     assert annihilation_check(op, f).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the running-product I-series against the from-scratch construction
+# ---------------------------------------------------------------------------
+
+
+def from_scratch_coefficient(geom, ring, degs, deep=False):
+    """C_d built from scratch, every factor multiplied in per degree: the
+    construction the running product replaced, kept as its oracle.
+
+    ``deep`` lowers the construction's hbar floor by its ceiling.  No partial
+    product reaches above the ceiling, so the orders a clipped 1/hbar
+    expansion lacks then stay below the ring's floor, and every retained
+    term is exact.  Without it the construction loses terms near the floor
+    on some custom geometries.
+    """
+    numerators = []
+    at_infinity = []
+    hbar_adic = []
+    for j in range(geom.ncols):
+        charges = tuple(row[j] for row in geom.mori)
+        pairing = geom.column_pairing(degs, j)
+        w = geom.weights[j]
+        if pairing == 0:
+            continue
+        if pairing < 0:
+            for m in range(pairing + 1, 1):
+                numerators.append((charges, m, w))
+        elif w is not None and w[0] in geom.infinity_weights:
+            for m in range(1, pairing + 1):
+                at_infinity.append((charges, m, w))
+        else:
+            for m in range(1, pairing + 1):
+                hbar_adic.append((charges, m, w))
+    lam_pad = sum(
+        1 for charges, m, w in numerators if w is not None and w[0] in geom.infinity_weights
+    )
+    ceiling = len(numerators)
+    for floor in ring.lambda_floor:
+        if floor < 0:
+            ceiling += -(floor - lam_pad)
+    work = ring.widened(
+        lam_extra=lam_pad,
+        h_lo=ceiling if deep else 0,
+        h_hi=max(0, ceiling - ring.hbar_max),
+    )
+    total = work.one()
+    for charges, m, w in numerators:
+        form = work.linear_form(charges, m, w)
+        if form.is_zero():
+            continue
+        total = total * form
+    for charges, m, w in at_infinity:
+        form = work.linear_form(charges, m, w)
+        total = total * expand_reciprocal_at_infinity(form, w[0])
+    for charges, m, w in hbar_adic:
+        form = work.linear_form(charges, m, w)
+        total = total * reciprocal_hbar_linear(form)
+    return ring.convert(total)
+
+
+def from_scratch_ifunction(geom, sring, deep=False):
+    zl = (0,) * sring.nvars
+    ring = sring.coeff
+    data = {
+        (degs, zl): from_scratch_coefficient(geom, ring, degs, deep) if any(degs) else ring.one()
+        for degs in sring.degree_keys()
+    }
+    return QSeries(sring, data, prefactor=True)
+
+
+def _benchmark_inputs():
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    jobs = [job for sizes in module.PIPELINE_JOBS.values() for job in sizes.values()]
+    jobs += module.CLI_INPUTS.values()
+    return {(fam, par, act, box, ()) for group in jobs for fam, par, act, box in group}
+
+
+# (family, parameter, action, box, windows): every builtin geometry and box
+# the tests and the benchmark build, plus a few more presentations
+_TEST_INPUTS = {
+    ("x_k", -1, "generic", (2,), ()),
+    ("x_k", -1, "generic", (3,), ()),
+    ("x_k", -1, "generic", (4,), ()),
+    ("x_k", -1, "diagonal", (3,), ()),
+    ("x_k", -1, "diagonal", (4,), ()),
+    ("x_k", -1, "antidiagonal", (4,), ()),
+    ("x_k", 0, "diagonal", (4,), ()),
+    ("x_k", 1, "antidiagonal", (2,), ()),
+    ("x_k", 1, "antidiagonal", (3,), ()),
+    ("x_k", 1, "antidiagonal", (4,), (("lambda_depth", 3),)),
+    ("x_k", 1, "antidiagonal", (2,), (("lambda_depth", 5), ("hbar_min", -8), ("hbar_max", 5))),
+    ("x_k", 1, "antidiagonal", (2,), (("lambda_depth", 4), ("hbar_min", -8), ("hbar_max", 5))),
+    ("x_k", 1, "antidiagonal", (2,), (("lambda_depth", 5), ("hbar_min", -7), ("hbar_max", 5))),
+    ("x_k", 1, "antidiagonal", (2,), (("lambda_depth", 5), ("hbar_min", -8), ("hbar_max", 4))),
+    ("x_k", 1, "generic", (4,), ()),
+    ("x_k", 2, "diagonal", (4,), ()),
+    ("x_k", -3, "generic", (4,), ()),
+    ("x_k_factored", 1, "antidiagonal", (3,), ()),
+    ("x_k_factored", 1, "antidiagonal", (4,), ()),
+    ("x_k_factored", 1, "antidiagonal", (6,), ()),
+    ("x_k_factored", 2, "antidiagonal", (3,), ()),
+    ("x_k_factored", 3, "antidiagonal", (6,), ()),
+    ("x_k_factored", 4, "antidiagonal", (6,), ()),
+    ("d1", None, "antidiagonal", (6,), ()),
+    ("d1", None, "generic", (4,), ()),
+    ("a_n", 2, None, (2, 2), ()),
+    ("a_n", 2, None, (3, 3), ()),
+    ("a_n", 2, None, (4, 4), ()),
+    ("trivalent", None, "diagonal", (2, 2, 2), ()),
+    ("trivalent", None, "antidiagonal", (2, 2, 2), ()),
+    ("y_k", 0, None, (3, 2), ()),
+    ("y_k", 0, None, (4, 2), ()),
+}
+
+
+@pytest.mark.parametrize(
+    "family, parameter, action, box, windows",
+    sorted(_TEST_INPUTS | _benchmark_inputs(), key=repr),
+    ids=lambda v: repr(v).replace(" ", ""),
+)
+def test_ifunction_matches_the_from_scratch_construction(family, parameter, action, box, windows):
+    geom = geometry(family, parameter, action)
+    sr = default_series_ring(geom, box, **dict(windows))
+    got, want = ifunction(geom, sr), from_scratch_ifunction(geom, sr)
+    assert got.data.keys() == want.data.keys()
+    for key, c in want.data.items():
+        assert got.data[key].terms == c.terms, key
+        assert got.data[key].truncated == c.truncated, key
+
+
+@st.composite
+def custom_geometries(draw):
+    """One- or two-row charge matrices with mixed signs, some weights dominant."""
+    nrows = draw(st.integers(1, 2))
+    ncols = draw(st.integers(2, 4))
+    mori = [[draw(st.integers(-2, 2)) for _ in range(ncols)] for _ in range(nrows)]
+    names = draw(st.sampled_from((("lam",), ("lam1", "lam2"))))
+    weight = st.one_of(st.none(), st.tuples(st.sampled_from(names), st.sampled_from((1, -1))))
+    weights = [draw(weight) for _ in range(ncols)]
+    if nrows == 1:
+        gens, rels = ("p",), ({(2,): 1},)
+    else:
+        gens, rels = ("p1", "p2"), ({(2, 0): 1}, {(1, 1): 1}, {(0, 2): 1})
+    geom = GeometrySpec(
+        "custom", mori, weights, gens, rels, names,
+        infinity_weights=draw(st.sampled_from(((), names[:1]))),
+    )
+    box = tuple(draw(st.integers(1, 3 if nrows == 1 else 2)) for _ in range(nrows))
+    return geom, box
+
+
+@settings(max_examples=60, deadline=None)
+@given(custom_geometries())
+def test_ifunction_on_custom_geometries(case):
+    geom, box = case
+    sr = default_series_ring(geom, box)
+    got, exact = ifunction(geom, sr), from_scratch_ifunction(geom, sr, deep=True)
+    scratch = from_scratch_ifunction(geom, sr)
+    assert got.data.keys() == exact.data.keys()
+    for key, c in exact.data.items():
+        assert got.data[key].terms == c.terms, key
+        # the running product clips no more than the from-scratch build
+        assert scratch.data.get(key, c).truncated or not got.data[key].truncated, key

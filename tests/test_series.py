@@ -102,6 +102,16 @@ def test_invert():
         sr.variable(0).invert()
 
 
+def test_invert_keeps_the_truncated_flag():
+    ring = CoeffRing(algebra_from_relations(("p",), ({(2,): 1},)), (), (), -2, 2)
+    sr = SeriesRing(ring, ("q",), (3,))
+    lead = ring.scalar(2) + ring.p("p") * ring.hbar(1) + ring.hbar(3)
+    f = QSeries(sr, {((0,), (0,)): lead, ((1,), (0,)): ring.one()})
+    assert f.truncated()
+    assert f.invert().truncated()
+    assert f * f.invert() == sr.one()
+
+
 def test_exp_requires_no_constant_term():
     sr = sring1()
     with pytest.raises(SeriesError):
