@@ -344,6 +344,19 @@ def _benchmark_inputs():
 # the tests and the benchmark build, plus a few more presentations
 _TEST_INPUTS = {
     ("x_k", -1, "generic", (2,), ()),
+    ("x_k", -1, "antidiagonal", (2,), ()),
+    ("x_k", -1, "antidiagonal", (3,), ()),
+    ("x_k", 0, "diagonal", (3,), ()),
+    ("x_k", 1, "antidiagonal", (2,), (("lambda_depth", 6), ("hbar_min", -9), ("hbar_max", 6))),
+    ("x_k", 1, "diagonal", (3,), ()),
+    ("x_k", 2, "antidiagonal", (3,), ()),
+    ("x_k", 2, "diagonal", (3,), ()),
+    ("x_k_factored", 1, "antidiagonal", (2,), ()),
+    ("x_k_factored", 1, "diagonal", (3,), ()),
+    ("x_k_factored", 2, "diagonal", (3,), ()),
+    ("d1", None, "antidiagonal", (3,), ()),
+    ("a_n", 2, None, (2, 2), (("hbar_min", -2),)),
+    ("a_n", 2, None, (2, 2), (("hbar_min", -1),)),
     ("x_k", -1, "generic", (3,), ()),
     ("x_k", -1, "generic", (4,), ()),
     ("x_k", -1, "diagonal", (3,), ()),
