@@ -75,6 +75,7 @@ from .closed_forms import (
     genus0_data,
     genus1_ansatz_fit,
     genus1_data,
+    genus1_fit_check,
     genus1_reference_check,
     pf_check,
     pf_operator,

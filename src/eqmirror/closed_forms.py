@@ -97,10 +97,13 @@ class ClosedGenus0:
     qdt: RationalFunctionQ
     yukawa_q: RationalFunctionQ
 
+    def units(self, sring):
+        """The mirror map's two units 1 + eps q and 1 + eps (k+1)^2 q."""
+        return tuple(_unit_series(sring, self.epsilon * s) for s in (1, (self.k + 1) ** 2))
+
     def correction(self, sring):
         """g(q) with t = log q + g(q), here k(k+2) log(1 + eps q)."""
-        unit = _unit_series(sring, self.epsilon)
-        return unit.log() * rat(self.k * (self.k + 2))
+        return self.units(sring)[0].log() * rat(self.k * (self.k + 2))
 
     def t_series(self, sring):
         return sring.log_variable(0) + self.correction(sring)
@@ -255,16 +258,24 @@ class ClosedGenus1:
 
     genus0: ClosedGenus0
 
-    def q_series(self, sring):
-        eps = self.genus0.epsilon
+    def exponents(self):
+        """The potential as a log ansatz over the two units and qdt^{-1}:
+        unit exponent (k+1)^2/24 - 5/12, shifted unit 11/24, jacobian 1/2,
+        and no log x term."""
         s = (self.genus0.k + 1) ** 2
-        unit = _unit_series(sring, eps)
-        shifted = _unit_series(sring, rat(eps) * s)
-        qdt = shifted * unit.invert()
+        return Genus1Fit(
+            coordinate_exponents=(rat(0),),
+            component_exponents=(rat(s, 24) - rat(5, 12), rat(11, 24)),
+            jacobian_exponent=rat(1, 2),
+        )
+
+    def q_series(self, sring):
+        fit = self.exponents()
+        unit, shifted = self.genus0.units(sring)
         return (
-            shifted.log() * rat(11, 24)
-            + unit.log() * (rat(s, 24) - rat(5, 12))
-            - qdt.log() * rat(1, 2)
+            unit.log() * fit.component_exponents[0]
+            + shifted.log() * fit.component_exponents[1]
+            - self.genus0.qdt.as_qseries(sring).log() * fit.jacobian_exponent
         )
 
     def t_series(self, sring):
@@ -418,15 +429,29 @@ def genus1_ansatz_fit(components, jacobian, target, inverse, jacobian_exponent=r
 
 def bundle_genus1_fit(k, degree=6):
     """Fit of the bundle family's genus-1 t-expansion over its two units."""
-    data = genus0_data(k)
+    closed = genus1_data(k)
     sring = scalar_series_ring(degree)
-    inverse = (data.mirror_inverse(sring),)
-    target = genus1_data(k).t_series(sring)
-    comps = (
-        _unit_series(sring, data.epsilon),
-        _unit_series(sring, rat(data.epsilon) * (k + 1) ** 2),
+    inverse = (closed.genus0.mirror_inverse(sring),)
+    target = closed.q_series(sring).subs(inverse)
+    return genus1_ansatz_fit(
+        closed.genus0.units(sring), closed.genus0.qdt.inv(), target, inverse
     )
-    return genus1_ansatz_fit(comps, data.qdt.inv(), target, inverse)
+
+
+def genus1_fit_check(k, degree=6):
+    """Fitted exponents of the bundle's genus-1 potential against the closed
+    form's own (``ClosedGenus1.exponents``)."""
+    fit = bundle_genus1_fit(k, degree)
+    return ComparisonReport(
+        label="genus-1 ansatz fit k=%d" % k,
+        passed=fit == genus1_data(k).exponents(),
+        details=(
+            ("log x", rat_str(fit.coordinate_exponents[0])),
+            ("log unit", rat_str(fit.component_exponents[0])),
+            ("log shifted unit", rat_str(fit.component_exponents[1])),
+            ("log jacobian", rat_str(fit.jacobian_exponent)),
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +565,6 @@ class A2Genus1Report:
     exact at the given jacobian exponent.
     """
 
-    box: tuple
-    coordinate_exponents: tuple
     given_delta_exponent: object
     given_jacobian_exponent: object
     passed: bool
@@ -549,35 +572,6 @@ class A2Genus1Report:
     jacobian_ratio: object
     target_exponent: object
     delta_exponent: object
-
-    def lines(self):
-        out = [
-            "chain genus-1 identity through %s: %s"
-            % ("x".join(str(b) for b in self.box), "PASS" if self.passed else "FAIL")
-        ]
-        out.append(
-            "  given exponents: a=%s delta=%s jacobian=%s"
-            % (
-                ",".join(rat_str(a) for a in self.coordinate_exponents),
-                rat_str(self.given_delta_exponent),
-                rat_str(self.given_jacobian_exponent),
-            )
-        )
-        out.append(
-            "  Delta * det(dt/dlogq)^4 == 1: %s"
-            % ("yes" if self.jacobian_relation else "no")
-        )
-        if self.target_exponent is not None:
-            out.append(
-                "  exact identity: target == %s * log Delta"
-                % rat_str(self.target_exponent)
-            )
-        if self.delta_exponent is not None:
-            out.append(
-                "  delta exponent closing the identity at the given jacobian "
-                "exponent: %s" % rat_str(self.delta_exponent)
-            )
-        return out
 
 
 def a2_genus1_check(
@@ -631,8 +625,6 @@ def a2_genus1_check(
         delta_needed = target_exponent - rat(jacobian_exponent) * jacobian_ratio
 
     return A2Genus1Report(
-        box=tuple(box),
-        coordinate_exponents=tuple(rat(a) for a in coordinate_exponents),
         given_delta_exponent=rat(delta_exponent),
         given_jacobian_exponent=rat(jacobian_exponent),
         passed=passed,
@@ -676,20 +668,14 @@ def a2_bracket_check(box=(3, 3)):
     expect_b = li((1, 0), 2) + li((1, 1)) - li((0, 1))
     got_a = rest.component((0, 0), (2,))
     got_b = rest.component((1, 0), (1,))
-    extra = sorted(
-        key
-        for key in rest.components
-        if key not in (((0, 0), (2,)), ((1, 0), (1,)))
-    )
-    checks = (
-        ("lam1^2 component", got_a == expect_a),
-        ("p1 lam1 component", got_b == expect_b),
-        ("no other components", not extra),
-    )
-    return ComparisonReport(
-        label="chain double bracket through %s" % ("x".join(str(b) for b in box),),
-        passed=all(ok for _, ok in checks),
-        details=tuple((name, "ok" if ok else "mismatch") for name, ok in checks),
+    extra = set(rest.components) - {((0, 0), (2,)), ((1, 0), (1,))}
+    return ComparisonReport.from_checks(
+        "chain double bracket through %s" % ("x".join(str(b) for b in box),),
+        (
+            ("lam1^2 component", got_a == expect_a),
+            ("p1 lam1 component", got_b == expect_b),
+            ("no other components", not extra),
+        ),
     )
 
 
@@ -727,15 +713,12 @@ def trivalent_bracket_check(action, box=(2, 2, 2)):
         raise ClosedFormError("bracket comparisons exist for the two sign actions")
     got_a = rest.component((0, 0, 0), (2,))
     got_b = rest.component((1, 0, 0), (1,))
-    checks = (
-        ("lam^2 component", got_a == expect_a),
-        ("p1 lam component", got_b == expect_b),
-    )
-    return ComparisonReport(
-        label="trivalent %s double bracket through %s"
-        % (action, "x".join(str(b) for b in box)),
-        passed=all(ok for _, ok in checks),
-        details=tuple((name, "ok" if ok else "mismatch") for name, ok in checks),
+    return ComparisonReport.from_checks(
+        "trivalent %s double bracket through %s" % (action, "x".join(str(b) for b in box)),
+        (
+            ("lam^2 component", got_a == expect_a),
+            ("p1 lam component", got_b == expect_b),
+        ),
     )
 
 

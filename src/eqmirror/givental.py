@@ -70,7 +70,7 @@ from .exact_core import (
     reciprocal_hbar_linear,
     algebra_from_relations,
 )
-from .series import QSeries, SeriesError, SeriesRing
+from .series import QSeries, SeriesRing
 
 
 class GeometryError(ValueError):
@@ -131,6 +131,9 @@ class GeometrySpec:
         if len(weights) != len(mori[0]):
             raise GeometryError("need one weight entry per column")
         lambda_names = tuple(str(n) for n in lambda_names)
+        for what, names in (("generator", generators), ("lambda", lambda_names)):
+            if len(set(names)) != len(names):
+                raise GeometryError("repeated %s names in %r" % (what, names))
         for w in weights:
             if w is None:
                 continue

@@ -12,8 +12,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .exact_core import CoeffRing, CohomAlgebra, RingElem, rat, rat_str
-from .givental import GeometryError, default_series_ring, ifunction
+from .exact_core import RingElem, rat, rat_str
+from .givental import default_series_ring, geometry, ifunction
 from .series import QSeries, SeriesRing, scalar_coeff_ring, series_reversion
 
 
@@ -462,12 +462,12 @@ class PipelineResult:
 _PIPELINE_CACHE = {}
 
 
-def run_pipeline(geom, box, lambda_depth=None, hbar_min=None, hbar_max=None):
-    key = (geom.key, tuple(box), lambda_depth, hbar_min, hbar_max)
+def run_pipeline(geom, box, lambda_depth=None):
+    key = (geom.key, tuple(box), lambda_depth)
     got = _PIPELINE_CACHE.get(key)
     if got is not None:
         return got
-    sring = default_series_ring(geom, box, lambda_depth, hbar_min, hbar_max)
+    sring = default_series_ring(geom, box, lambda_depth)
     i_series = ifunction(geom, sring)
     fact = birkhoff(i_series)
     mirror = extract_mirror_maps(fact.j)
@@ -486,6 +486,27 @@ def run_pipeline(geom, box, lambda_depth=None, hbar_min=None, hbar_max=None):
     return result
 
 
+def _extraction_rule(geom):
+    """How a family's invariants sit in its restricted double bracket: the
+    assignments for :func:`restrict_w` and the (component key, divisor
+    index i) pairs whose component is sum_beta N_beta beta_i Li_2(x^beta)."""
+    kill = {g: 0 for g in geom.generators}
+    zero_gens = (0,) * len(geom.generators)
+    nlam = len(geom.lambda_names)
+    if geom.family == "a_n":
+        return kill, tuple(
+            ((zero_gens, tuple(2 if j == i else 0 for j in range(nlam))), i)
+            for i in range(nlam)
+        )
+    if geom.family in ("x_k", "x_k_factored", "d1"):
+        return kill, (((zero_gens, (2,) if nlam == 1 else (1, 1)), 0),)
+    if geom.family == "y_k":
+        # no weights here; the square of the fiber class plays the role the
+        # quadratic weight does for the bundle geometries
+        return {}, ((((0, 2), ()), 0),)
+    raise PipelineError("no curve class extraction rule for family %r" % (geom.family,))
+
+
 def gw_table(geom, box, lambda_depth=None):
     """Instanton numbers from the restricted double bracket.
 
@@ -493,55 +514,23 @@ def gw_table(geom, box, lambda_depth=None):
     sum_beta N_beta beta_i Li_2(x^beta); for the single-curve bundle
     families the quadratic weight component plays the same role with
     beta_i replaced by the curve degree."""
-    res = run_pipeline(geom, box, lambda_depth)
-    restriction = restrict_w(res.w, {g: 0 for g in geom.generators})
-    zero_gens = (0,) * len(geom.generators)
-    ring = res.sring.coeff
+    assignments, components = _extraction_rule(geom)
+    restriction = restrict_w(run_pipeline(geom, box, lambda_depth).w, assignments)
     entries = {}
-
-    def merge(beta, value):
-        prev = entries.get(beta)
-        if prev is None:
-            entries[beta] = value
-        elif prev != value:
-            raise PipelineError(
-                "inconsistent invariants for class %r: %s vs %s"
-                % (beta, rat_str(prev), rat_str(value))
-            )
-
-    if geom.family == "a_n":
-        for i, name in enumerate(ring.lambda_names):
-            lexps = tuple(2 if j == i else 0 for j in range(len(ring.lambda_names)))
-            comp = restriction.component(zero_gens, lexps)
-            for beta, value in polylog_invert(comp, 2).items():
-                if beta[i] == 0:
-                    raise PipelineError(
-                        "component lambda_%d^2 shows a class with zero pairing" % (i + 1,)
-                    )
-                merge(beta, value / rat(beta[i]))
-        return GWTable(entries)
-    if geom.family in ("x_k", "x_k_factored", "d1"):
-        if len(ring.lambda_names) == 1:
-            lexps = (2,)
-        else:
-            lexps = (1, 1)
-        comp = restriction.component(zero_gens, lexps)
-        for beta, value in polylog_invert(comp, 2).items():
-            merge(beta, value / rat(beta[0]))
-        return GWTable(entries)
-    if geom.family == "y_k":
-        # no weights here; the square of the fiber class plays the role the
-        # quadratic weight does for the bundle geometries
-        restriction = restrict_w(res.w)
-        comp = restriction.component((0, 2), ())
-        for beta, value in polylog_invert(comp, 2).items():
-            if beta[0] == 0:
+    for key, i in components:
+        for beta, value in polylog_invert(restriction.component(*key), 2).items():
+            if beta[i] == 0:
                 raise PipelineError(
-                    "fiber-squared component shows a class with zero base degree"
+                    "component %r shows class %r with zero pairing" % (key, beta)
                 )
-            merge(beta, value / rat(beta[0]))
-        return GWTable(entries)
-    raise PipelineError("no curve class extraction rule for family %r" % (geom.family,))
+            value = value / rat(beta[i])
+            prev = entries.setdefault(beta, value)
+            if prev != value:
+                raise PipelineError(
+                    "inconsistent invariants for class %r: %s vs %s"
+                    % (beta, rat_str(prev), rat_str(value))
+                )
+    return GWTable(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -557,11 +546,15 @@ class ComparisonReport:
     passed: bool
     details: tuple
 
-    def lines(self):
-        out = ["%s: %s" % (self.label, "PASS" if self.passed else "FAIL")]
-        for key, text in self.details:
-            out.append("  %s: %s" % (key, text))
-        return out
+    @classmethod
+    def from_checks(cls, label, checks):
+        """Report over named checks ``(name, ok)``: passed when all hold, each
+        detail ``ok`` or ``mismatch``."""
+        return cls(
+            label=label,
+            passed=all(ok for _, ok in checks),
+            details=tuple((name, "ok" if ok else "mismatch") for name, ok in checks),
+        )
 
 
 def factored_consistency_check(k, action, box, lambda_depth=None):
@@ -570,8 +563,6 @@ def factored_consistency_check(k, action, box, lambda_depth=None):
     The direct presentation uses one weighted column of charge k; the split
     presentation trades it for k columns of charge 1 and 2+k of charge -1.
     Both must produce identical tables."""
-    from .givental import geometry
-
     direct = gw_table(geometry("x_k", k, action), box, lambda_depth)
     split = gw_table(geometry("x_k_factored", k, action), box, lambda_depth)
     passed = direct == split
@@ -593,8 +584,6 @@ def fibration_correspondence_check(degree=4, fiber_degree=2):
     share mirror corrections (q -> q_1, weight -> second divisor class),
     share the two quadratic double-bracket components, and give the same
     table under the class identification d -> (d, 0)."""
-    from .givental import geometry
-
     gx = geometry("x_k", 0, "diagonal")
     gy = geometry("y_k", 0)
     resx = run_pipeline(gx, (degree,))
@@ -643,8 +632,6 @@ def fibration_correspondence_check(degree=4, fiber_degree=2):
     okt = lifted == tx.entries and len(lifted) == len(ty.entries)
     checks.append(("tables", okt))
 
-    return ComparisonReport(
-        label="bundle/projective correspondence at k=0 through degree %d" % degree,
-        passed=all(ok for _, ok in checks),
-        details=tuple((name, "ok" if ok else "mismatch") for name, ok in checks),
+    return ComparisonReport.from_checks(
+        "bundle/projective correspondence at k=0 through degree %d" % degree, checks
     )

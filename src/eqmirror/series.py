@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from .exact_core import (
     CoeffRing,
     CohomAlgebra,
-    CoefficientError,
     RingElem,
     elem_invert,
     rat,

@@ -159,6 +159,33 @@ def test_gw_explicit_geometry_config(capsys, tmp_path):
     assert json.loads(out)["invariants"] == {"1": "1"}
 
 
+def test_config_degree_box_matches_the_flag(capsys, tmp_path):
+    cfg = tmp_path / "box.cfg"
+    cfg.write_text("degree = 2,2\n")
+    rc, from_flag, _ = run_cli(capsys, "an", "--n", "2", "--degree", "2,2")
+    rc2, from_config, _ = run_cli(capsys, "an", "--n", "2", "--config", str(cfg))
+    assert rc == rc2 == 0
+    assert from_config == from_flag
+    assert parse_degree((2, 3), 2) == parse_degree([2, 3], 2) == (2, 3)
+
+
+def test_repeated_lambda_names_exit_2(capsys, tmp_path):
+    cfg = tmp_path / "repeated.cfg"
+    cfg.write_text(
+        "family = x_k\n"
+        "mori = ((1, 1, 1, -3),)\n"
+        "weights = (None, None, ('lam', 1), ('lam', -1))\n"
+        "generators = ('p',)\n"
+        "relations = ({(2,): 1},)\n"
+        "lambda_names = ('lam', 'lam')\n"
+        "infinity_weights = ('lam',)\n"
+    )
+    rc, out, err = run_cli(capsys, "gw", "--config", str(cfg))
+    assert rc == 2
+    assert out == ""
+    assert "repeated lambda names" in err
+
+
 def test_verification_commands_pass(capsys):
     rc, out, _ = run_cli(capsys, "verify-genus0", "--k", "1", "--degree", "4")
     assert rc == 0
@@ -180,6 +207,21 @@ def test_genus1_fit_command(capsys):
     assert report["log unit"] == "1/4"
     assert report["log shifted unit"] == "11/24"
     assert report["log jacobian"] == "1/2"
+
+
+def test_genus1_fit_mismatch_exits_1(capsys, monkeypatch):
+    from eqmirror import closed_forms
+
+    fit = closed_forms.bundle_genus1_fit(2, 4)
+    wrong = closed_forms.Genus1Fit(
+        fit.coordinate_exponents, fit.component_exponents, rat(1, 3)
+    )
+    monkeypatch.setattr(closed_forms, "bundle_genus1_fit", lambda k, degree: wrong)
+    rc, out, _ = run_cli(capsys, "verify-genus1", "--k", "2", "--degree", "4", "--format", "json")
+    assert rc == 1
+    body = json.loads(out)["genus-1 ansatz fit k=2"]
+    assert body["verdict"] == "fail"
+    assert body["details"]["log jacobian"] == "1/3"
 
 
 def test_an_command_includes_bracket_check(capsys):

@@ -117,6 +117,20 @@ def test_spec_validation():
         )
 
 
+def test_spec_rejects_repeated_names():
+    with pytest.raises(GeometryError, match="repeated generator names"):
+        GeometrySpec(
+            "bad",
+            ((1, -1), (0, 1)),
+            (None, None),
+            ("p", "p"),
+            ({(2, 0): 1}, {(0, 2): 1}),
+            (),
+        )
+    with pytest.raises(GeometryError, match="repeated lambda names"):
+        GeometrySpec("bad", ((1, -1),), (None, ("lam", 1)), ("p",), ({(2,): 1},), ("lam", "lam"))
+
+
 def test_default_series_ring_windows():
     # at-infinity weights need twice the depth: the factorization pairs
     # lambda^-j tails against lambda^+j series content

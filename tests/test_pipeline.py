@@ -2,8 +2,10 @@ import pytest
 
 from eqmirror.exact_core import rat
 from eqmirror.givental import GeometrySpec, default_series_ring, geometry, ifunction
+from eqmirror import pipeline
 from eqmirror.pipeline import (
     BirkhoffError,
+    ComparisonReport,
     GWTable,
     PipelineError,
     birkhoff,
@@ -286,6 +288,15 @@ def test_gw_table_unsupported_family():
         gw_table(geometry("trivalent", None, "diagonal"), (2, 2, 2))
 
 
+def test_gw_table_without_a_rule_fails_before_the_pipeline_runs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(pipeline, "run_pipeline", refuse)
+    with pytest.raises(PipelineError, match="no curve class extraction rule"):
+        gw_table(geometry("trivalent", None, "diagonal"), (2, 2, 2))
+
+
 def test_gw_table_rendering():
     t = GWTable({(2, 1): rat(-5), (1, 0): rat(1, 3)})
     assert t.rows() == [((1, 0), rat(1, 3)), ((2, 1), rat(-5))]
@@ -296,8 +307,13 @@ def test_gw_table_rendering():
 
 def test_factored_consistency_small():
     rep = factored_consistency_check(1, "antidiagonal", (3,))
-    assert rep.passed
-    assert rep.lines()[0].endswith("PASS")
+    assert rep.passed, rep
+
+
+def test_report_from_named_checks():
+    rep = ComparisonReport.from_checks("pair", [("first", True), ("second", False)])
+    assert rep == ComparisonReport("pair", False, (("first", "ok"), ("second", "mismatch")))
+    assert ComparisonReport.from_checks("one", (("only", True),)).passed
 
 
 def test_fibration_correspondence_small():
@@ -331,3 +347,34 @@ def test_cache_key_covers_every_spec_field():
     assert plain.mirror.sigma.is_zero()
     cubic = dict(spec, relations=({(3,): 1},))
     assert GeometrySpec(**cubic).key != GeometrySpec(**spec).key
+
+
+PROPERTY_INPUTS = (
+    [("x_k", k, a, (3,)) for k in (-1, 0, 1, 2) for a in ("antidiagonal", "diagonal")]
+    + [("x_k", k, "generic", (3,)) for k in (-1, 0)]
+    + [("x_k_factored", k, a, (3,)) for k in (1, 2) for a in ("antidiagonal", "diagonal")]
+    + [("d1", None, a, (3,)) for a in ("antidiagonal", "diagonal")]
+    + [
+        ("y_k", 0, None, (3, 2)),
+        ("y_k", 1, None, (2, 1)),
+        ("a_n", 1, None, (3,)),
+        ("a_n", 2, None, (2, 2)),
+        ("a_n", 3, None, (1, 1, 1)),
+    ]
+    + [("trivalent", None, a, (1, 1, 1)) for a in ("diagonal", "antidiagonal", "generic")]
+)
+
+
+@pytest.mark.parametrize("family,parameter,action,box", PROPERTY_INPUTS)
+def test_pipeline_properties_on_builtin_families(family, parameter, action, box):
+    res = run_pipeline(geometry(family, parameter, action), box)
+    for (degs, _), elem in res.factorization.j.data.items():
+        if any(degs):
+            assert all(h < 0 for (_, _, h) in elem.terms), degs
+    read = (
+        list(res.mirror.corrections)
+        + [res.mirror.sigma]
+        + list(res.mirror.inverse)
+        + list(restrict_w(res.w).components.values())
+    )
+    assert not any(series.truncated() for series in read)
