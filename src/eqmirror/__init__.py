@@ -20,7 +20,6 @@ from .exact_core import (
 )
 from .series import (
     QSeries,
-    RationalFunctionQ,
     SeriesError,
     SeriesRing,
     polylog_series,

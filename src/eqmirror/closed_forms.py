@@ -18,7 +18,6 @@ from .givental import ThetaOperator, geometry
 from .pipeline import ComparisonReport, polylog_invert, restrict_w, run_pipeline, scalar_table
 from .series import (
     QSeries,
-    RationalFunctionQ,
     SeriesRing,
     polylog_series,
     scalar_coeff_ring,
@@ -85,21 +84,21 @@ def _unit_series(sring, linear):
 
 @dataclass(frozen=True)
 class ClosedGenus0:
-    """Genus-0 package for one k: mirror map, Yukawa coupling, prepotential.
-
-    qdt is theta applied to the flat coordinate, as a rational function of
-    q; yukawa_q is the B-side cubic coupling triple * qdt^2.
-    """
+    """Genus-0 package for one k: mirror map, Yukawa coupling, prepotential."""
 
     k: int
     epsilon: int
     triple: object
-    qdt: RationalFunctionQ
-    yukawa_q: RationalFunctionQ
 
     def units(self, sring):
         """The mirror map's two units 1 + eps q and 1 + eps (k+1)^2 q."""
         return tuple(_unit_series(sring, self.epsilon * s) for s in (1, (self.k + 1) ** 2))
+
+    def qdt_inverse(self, sring):
+        """qdt^{-1} = 1/theta t = (1 + eps q)/(1 + eps (k+1)^2 q), the factor
+        of the Yukawa coupling triple * qdt^{-1}, built from the two units."""
+        unit, shifted = self.units(sring)
+        return unit * shifted.invert()
 
     def correction(self, sring):
         """g(q) with t = log q + g(q), here k(k+2) log(1 + eps q)."""
@@ -119,17 +118,7 @@ class ClosedGenus0:
 
 def genus0_data(k):
     _require_bundle_k(k)
-    eps = epsilon(k)
-    s = (k + 1) ** 2
-    qdt = RationalFunctionQ((1, rat(eps) * s), (1, rat(eps)))
-    triple = triple_intersection(k)
-    return ClosedGenus0(
-        k=k,
-        epsilon=eps,
-        triple=triple,
-        qdt=qdt,
-        yukawa_q=qdt * qdt * triple,
-    )
+    return ClosedGenus0(k, epsilon(k), triple_intersection(k))
 
 
 def prepotential_derivative(k, sring, power):
@@ -162,7 +151,7 @@ def yukawa_check(k, degree=6):
         k, sring, 3
     )
     inverse = data.mirror_inverse(sring)
-    rhs = data.qdt.inv().as_qseries(sring).subs((inverse,)) * data.triple
+    rhs = data.qdt_inverse(sring).subs((inverse,)) * data.triple
     diff = lhs - rhs
     return ComparisonReport(
         label="yukawa closed form k=%d through x^%d" % (k, degree),
@@ -199,14 +188,12 @@ def pf_operator(k, sring):
     """theta^2 (qdt)^{-1} theta with the middle factor expanded to the box."""
     if sring.nvars != 1:
         raise ClosedFormError("the quantum differential operator is univariate")
-    data = genus0_data(k)
     ring = sring.coeff
     theta = ThetaOperator.theta(ring, 1, 0, weighted=False)
-    coeffs = data.qdt.inv().series(sring.box[0])
     middle = ThetaOperator(
         ring,
         1,
-        {((d,), (0,)): ring.scalar(c) for d, c in enumerate(coeffs) if c != 0},
+        {(degs, (0,)): c for (degs, _), c in genus0_data(k).qdt_inverse(sring).data.items()},
         weighted=False,
     )
     return theta * theta * middle * theta
@@ -275,7 +262,7 @@ class ClosedGenus1:
         return (
             unit.log() * fit.component_exponents[0]
             + shifted.log() * fit.component_exponents[1]
-            - self.genus0.qdt.as_qseries(sring).log() * fit.jacobian_exponent
+            + self.genus0.qdt_inverse(sring).log() * fit.jacobian_exponent
         )
 
     def t_series(self, sring):
@@ -332,18 +319,6 @@ class Genus1Fit:
     jacobian_exponent: object
 
 
-def _as_series(obj, sring):
-    if isinstance(obj, RationalFunctionQ):
-        if sring.nvars != 1:
-            raise ClosedFormError("rational functions expand along one variable only")
-        return obj.as_qseries(sring)
-    if isinstance(obj, QSeries):
-        if obj.sring != sring:
-            raise ClosedFormError("fit inputs must share the target's series ring")
-        return obj
-    raise ClosedFormError("fit inputs must be series or rational functions")
-
-
 def _solve_exact(rows, rhs):
     """Solve an overdetermined exact linear system or raise."""
     if not rows:
@@ -378,9 +353,9 @@ def _solve_exact(rows, rhs):
 def genus1_ansatz_fit(components, jacobian, target, inverse, jacobian_exponent=rat(1, 2)):
     """Fit log-ansatz exponents for a genus-1 potential, exactly.
 
-    components and jacobian are unit series (or rational functions) of the
-    B-side coordinates; target is the potential in flat coordinates, linear
-    log keys allowed; inverse is the tuple q_i(x) from the mirror map.
+    components and jacobian are unit series of the B-side coordinates in
+    the target's series ring; target is the potential in flat coordinates,
+    linear log keys allowed; inverse is the tuple q_i(x) from the mirror map.
     Passing jacobian_exponent=None adds c to the unknowns; expect the
     singular-system error when log J is dependent on the components.
     """
@@ -388,8 +363,9 @@ def genus1_ansatz_fit(components, jacobian, target, inverse, jacobian_exponent=r
     nv = sring.nvars
     z = (0,) * nv
     inverse = tuple(inverse)
-    comps = tuple(_as_series(c, sring) for c in components)
-    jac = _as_series(jacobian, sring)
+    comps = tuple(components)
+    if not all(isinstance(s, QSeries) and s.sring == sring for s in comps + (jacobian,)):
+        raise ClosedFormError("fit inputs must be series in the target's series ring")
 
     power = {}
     for (degs, logs), value in target.rational_items():
@@ -407,7 +383,7 @@ def genus1_ansatz_fit(components, jacobian, target, inverse, jacobian_exponent=r
     )
 
     basis = [comp.subs(inverse).log() for comp in comps]
-    logjac = jac.subs(inverse).log()
+    logjac = jacobian.subs(inverse).log()
     resid = sring.from_rational_terms(power)
     if jacobian_exponent is not None:
         resid = resid - logjac * rat(jacobian_exponent)
@@ -434,7 +410,7 @@ def bundle_genus1_fit(k, degree=6):
     inverse = (closed.genus0.mirror_inverse(sring),)
     target = closed.q_series(sring).subs(inverse)
     return genus1_ansatz_fit(
-        closed.genus0.units(sring), closed.genus0.qdt.inv(), target, inverse
+        closed.genus0.units(sring), closed.genus0.qdt_inverse(sring), target, inverse
     )
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 try:
     from gmpy2 import mpq as _ratimpl
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional; CI and perfbench use this fallback
     _ratimpl = Fraction
 
 __all__ = [

@@ -35,7 +35,6 @@ from .exact_core import (
 
 __all__ = [
     "QSeries",
-    "RationalFunctionQ",
     "SeriesError",
     "SeriesRing",
     "polylog_series",
@@ -43,7 +42,6 @@ __all__ = [
     "series_reversion",
 ]
 
-_R0 = rat(0)
 _R1 = rat(1)
 
 
@@ -546,144 +544,3 @@ def polylog_series(sring: SeriesRing, weight: int, beta, coeff=1) -> QSeries:
     for m in range(1, bound + 1):
         terms[tuple(m * b for b in beta)] = c / rat(m) ** weight
     return sring.from_rational_terms(terms)
-
-
-# ---------------------------------------------------------------------------
-# univariate rational functions with exact q-expansions
-# ---------------------------------------------------------------------------
-
-
-def _poly_trim(t):
-    t = list(t)
-    while t and t[-1] == 0:
-        t.pop()
-    return tuple(t)
-
-
-def _poly_mul1(a, b):
-    if not a or not b:
-        return ()
-    out = [_R0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(out)
-
-
-class RationalFunctionQ:
-    """num(q)/den(q) with exact rational coefficients, den(0) != 0."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=(1,)):
-        num = _poly_trim(rat(c) for c in num)
-        den = _poly_trim(rat(c) for c in den)
-        if not den or den[0] == 0:
-            raise SeriesError("denominator must be a unit at q = 0")
-        self.num, self.den = num, den
-
-    @classmethod
-    def constant(cls, c) -> "RationalFunctionQ":
-        return cls((rat(c),))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalFunctionQ):
-            return NotImplemented
-        return _poly_mul1(self.num, other.den) == _poly_mul1(other.num, self.den)
-
-    def __hash__(self):
-        raise TypeError("RationalFunctionQ is not hashable")
-
-    def __repr__(self) -> str:
-        def fmt(p):
-            if not p:
-                return "0"
-            bits = []
-            for i, c in enumerate(p):
-                if c == 0:
-                    continue
-                if i == 0:
-                    bits.append(str(c))
-                elif i == 1:
-                    bits.append(f"{c}*q")
-                else:
-                    bits.append(f"{c}*q^{i}")
-            return " + ".join(bits)
-
-        if self.den == (_R1,):
-            return fmt(self.num)
-        return f"({fmt(self.num)})/({fmt(self.den)})"
-
-    def __add__(self, other):
-        if isinstance(other, numbers.Rational):
-            other = RationalFunctionQ.constant(other)
-        if not isinstance(other, RationalFunctionQ):
-            return NotImplemented
-        num = tuple(
-            a + b
-            for a, b in itertools.zip_longest(
-                _poly_mul1(self.num, other.den), _poly_mul1(other.num, self.den), fillvalue=_R0
-            )
-        )
-        return RationalFunctionQ(num, _poly_mul1(self.den, other.den))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunctionQ(tuple(-c for c in self.num), self.den)
-
-    def __sub__(self, other):
-        if isinstance(other, numbers.Rational):
-            other = RationalFunctionQ.constant(other)
-        if not isinstance(other, RationalFunctionQ):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, numbers.Rational):
-            return RationalFunctionQ(tuple(c * other for c in self.num), self.den)
-        if not isinstance(other, RationalFunctionQ):
-            return NotImplemented
-        return RationalFunctionQ(
-            _poly_mul1(self.num, other.num), _poly_mul1(self.den, other.den)
-        )
-
-    __rmul__ = __mul__
-
-    def inv(self) -> "RationalFunctionQ":
-        if not self.num or self.num[0] == 0:
-            raise SeriesError("inverse would not be regular at q = 0")
-        return RationalFunctionQ(self.den, self.num)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        out = RationalFunctionQ.constant(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def series(self, order: int):
-        """First ``order + 1`` expansion coefficients at q = 0 (long division)."""
-        out = []
-        rem = list(self.num) + [_R0] * max(0, order + 1 - len(self.num))
-        d0 = self.den[0]
-        for n in range(order + 1):
-            c = rem[n] / d0
-            out.append(c)
-            for j, dc in enumerate(self.den):
-                if n + j <= order:
-                    rem[n + j] -= c * dc
-        return out
-
-    def as_qseries(self, sring: SeriesRing, variable: int = 0) -> QSeries:
-        """Expand into a series ring along one of its variables."""
-        coeffs = self.series(sring.box[variable])
-        terms = {}
-        for n, c in enumerate(coeffs):
-            if c != 0:
-                terms[tuple(n if j == variable else 0 for j in range(sring.nvars))] = c
-        return sring.from_rational_terms(terms)

@@ -29,6 +29,19 @@ def ser_mul(a, b, order):
     return out
 
 
+def ser_div(a, b, order):
+    """a / b by long division; b[0] must be nonzero."""
+    b = ser_trim(b, order)
+    rem = ser_trim(a, order)
+    out = []
+    for n in range(order + 1):
+        c = rem[n] / b[0]
+        out.append(c)
+        for j in range(n, order + 1):
+            rem[j] -= c * b[j - n]
+    return out
+
+
 def ser_pow(a, n, order):
     out = ser_trim([1], order)
     for _ in range(n):

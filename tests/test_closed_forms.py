@@ -35,9 +35,8 @@ from eqmirror.closed_forms import (
 )
 from eqmirror.exact_core import rat, rat_str
 from eqmirror.pipeline import polylog_invert
-from eqmirror.series import RationalFunctionQ
 
-from oracles import instanton_coefficient, lagrange_inverse, multicover_invert
+from oracles import instanton_coefficient, lagrange_inverse, multicover_invert, ser_div
 
 
 def test_signs_and_triple_intersections():
@@ -64,13 +63,25 @@ def test_prepotential_coefficients():
 
 
 @pytest.mark.parametrize("k", range(1, 6))
+def test_qdt_inverse_matches_long_division(k):
+    # (1 + eps q) / (1 + eps (k+1)^2 q), divided out over plain fractions
+    data = genus0_data(k)
+    sr = scalar_series_ring(8)
+    eps = data.epsilon
+    want = ser_div([1, eps], [1, eps * (k + 1) ** 2], 8)
+    got = [Fraction(0)] * 9
+    for (degs, logs), v in data.qdt_inverse(sr).rational_items():
+        assert logs == (0,)
+        got[degs[0]] = Fraction(v.numerator, v.denominator)
+    assert got == want
+
+
+@pytest.mark.parametrize("k", range(1, 6))
 def test_qdt_matches_the_correction(k):
-    # theta t = 1 + theta g must equal the stored rational function
+    # theta t = 1 + theta g is the reciprocal of qdt_inverse
     data = genus0_data(k)
     sr = scalar_series_ring(6)
-    lhs = sr.one() + data.correction(sr).theta(0)
-    assert lhs == data.qdt.as_qseries(sr)
-    assert data.yukawa_q == data.qdt * data.qdt * data.triple
+    assert (sr.one() + data.correction(sr).theta(0)) * data.qdt_inverse(sr) == sr.one()
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))
@@ -167,7 +178,9 @@ def test_fit_with_free_jacobian_exponent_is_singular():
     target = genus1_data(1).t_series(sr)
     inverse = (data.mirror_inverse(sr),)
     with pytest.raises(ClosedFormError, match="singular"):
-        genus1_ansatz_fit(comps, data.qdt.inv(), target, inverse, jacobian_exponent=None)
+        genus1_ansatz_fit(
+            comps, data.qdt_inverse(sr), target, inverse, jacobian_exponent=None
+        )
 
 
 def test_fit_reports_unfittable_targets():
@@ -175,12 +188,7 @@ def test_fit_reports_unfittable_targets():
     unit = sr.one() + sr.variable(0)
     target = unit.log() * rat(1, 2) + sr.monomial((3,))
     with pytest.raises(ClosedFormError, match="residual"):
-        genus1_ansatz_fit(
-            (unit,),
-            RationalFunctionQ.constant(1),
-            target,
-            (sr.variable(0),),
-        )
+        genus1_ansatz_fit((unit,), sr.one(), target, (sr.variable(0),))
 
 
 def test_fit_rejects_malformed_targets():
@@ -188,12 +196,23 @@ def test_fit_rejects_malformed_targets():
     unit = sr.one() + sr.variable(0)
     bad = sr.one()  # constant offset
     with pytest.raises(ClosedFormError, match="constant offset"):
-        genus1_ansatz_fit((unit,), RationalFunctionQ.constant(1), bad, (sr.variable(0),))
+        genus1_ansatz_fit((unit,), sr.one(), bad, (sr.variable(0),))
     nonlinear = sr.log_variable(0) * sr.log_variable(0)
     with pytest.raises(ClosedFormError, match="nonlinear log"):
-        genus1_ansatz_fit(
-            (unit,), RationalFunctionQ.constant(1), nonlinear, (sr.variable(0),)
-        )
+        genus1_ansatz_fit((unit,), sr.one(), nonlinear, (sr.variable(0),))
+
+
+def test_fit_rejects_inputs_outside_the_target_ring():
+    sr = scalar_series_ring(4)
+    unit = sr.one() + sr.variable(0)
+    target = unit.log() * rat(1, 2)
+    other = scalar_series_ring(5)
+    with pytest.raises(ClosedFormError, match="fit inputs must be series"):
+        genus1_ansatz_fit((other.one(),), sr.one(), target, (sr.variable(0),))
+    with pytest.raises(ClosedFormError, match="fit inputs must be series"):
+        genus1_ansatz_fit((unit,), other.one(), target, (sr.variable(0),))
+    with pytest.raises(ClosedFormError, match="fit inputs must be series"):
+        genus1_ansatz_fit((rat(1),), sr.one(), target, (sr.variable(0),))
 
 
 def test_bps_counts():

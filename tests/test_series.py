@@ -5,7 +5,6 @@ import pytest
 from eqmirror.exact_core import CoeffRing, algebra_from_relations, rat
 from eqmirror.series import (
     QSeries,
-    RationalFunctionQ,
     SeriesError,
     SeriesRing,
     polylog_series,
@@ -253,26 +252,3 @@ def test_hbar_slices():
     assert s.coefficient((1,)) == ring.one()
     assert s.coefficient((2,)).is_zero()
     assert f.hbar_range() == (-2, 0)
-
-
-def test_rational_function_series():
-    r = RationalFunctionQ((1, 4), (1, 1))
-    got = r.series(7)
-    # multiply the claimed expansion back by the denominator
-    back = ser_mul(ser_trim([Fraction(c.numerator, c.denominator) for c in got], 7), [1, 1], 7)
-    assert back == ser_trim([1, 4], 7)
-
-
-def test_rational_function_algebra():
-    a = RationalFunctionQ((1, 4), (1, 1))
-    b = RationalFunctionQ((0, 1))
-    s = a + b
-    p = a * b
-    assert s == RationalFunctionQ((1, 5, 1), (1, 1))
-    assert p == RationalFunctionQ((0, 1, 4), (1, 1))
-    assert a * a.inv() == RationalFunctionQ.constant(1)
-    assert a**2 == a * a
-    sr = sring1(5)
-    qs = a.as_qseries(sr)
-    assert coeffs(qs, 5)[:2] == [Fraction(1), Fraction(3)]
-    assert (qs * (sr.one() + sr.variable(0)) - (sr.one() + sr.variable(0) * rat(4))).is_zero()
