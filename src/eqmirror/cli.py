@@ -13,8 +13,8 @@ A config file may hold keys that the command does not read, so one file
 can serve several commands.
 
 Exit codes: 0 all requested checks pass, 1 a verification mismatch,
-2 unusable configuration, 3 retention windows too shallow for the
-factorization.
+2 unusable configuration, 3 the factorization cannot be made exact (for
+example, normalizing coefficients climb above lambda^0).
 """
 
 import argparse
@@ -91,9 +91,7 @@ def parse_degree(value, nvars=None):
     """Degree box from a flag string such as "3,3" or a config literal,
     which reads "3,3" as the tuple (3, 3)."""
     items = value if isinstance(value, (tuple, list)) else str(value).split(",")
-    parts = tuple(_config_int(p, "degree") for p in items)
-    if any(p < 1 for p in parts):
-        raise ConfigError("degree box entries must be >= 1")
+    parts = tuple(_degree(p) for p in items)
     if nvars is not None:
         if len(parts) == 1:
             parts = parts * nvars
@@ -168,7 +166,7 @@ def _report_from_comparisons(reports):
 def cmd_gw(cfg):
     geom = geometry_from_config(cfg)
     box = parse_degree(cfg.get("degree", 3), len(geom.mori))
-    table = gw_table(geom, box, _lambda_depth(cfg))
+    table = gw_table(geom, box)
     report = {
         "geometry": geom.name,
         "degree": list(box),
@@ -179,7 +177,7 @@ def cmd_gw(cfg):
 
 def cmd_verify_genus0(cfg):
     k = _need_k(cfg)
-    degree = _config_int(cfg.get("degree", 6), "degree")
+    degree = _degree(cfg.get("degree", 6))
     reports = [
         bundle_mirror_check(k, degree),
         yukawa_check(k, degree),
@@ -190,7 +188,7 @@ def cmd_verify_genus0(cfg):
 
 def cmd_verify_genus1(cfg):
     k = _need_k(cfg)
-    degree = _config_int(cfg.get("degree", 5), "degree")
+    degree = _degree(cfg.get("degree", 5))
     reports = []
     if k in GENUS1_REFERENCE:
         reports.append(genus1_reference_check(k, min(degree, 5)))
@@ -202,25 +200,25 @@ def cmd_verify_factored(cfg):
     k = _need_k(cfg)
     action = str(cfg.get("action", "antidiagonal"))
     box = parse_degree(cfg.get("degree", 3), 1)
-    rep = factored_consistency_check(k, action, box, _lambda_depth(cfg))
+    rep = factored_consistency_check(k, action, box)
     return _report_from_comparisons([rep])
 
 
 def cmd_verify_fibration(cfg):
-    degree = _config_int(cfg.get("degree", 4), "degree")
-    fiber = _config_int(cfg.get("fiber_degree", 2), "fiber_degree")
+    degree = _degree(cfg.get("degree", 4))
+    fiber = _degree(cfg.get("fiber_degree", 2), "fiber_degree")
     return _report_from_comparisons([fibration_correspondence_check(degree, fiber)])
 
 
 def cmd_pf_check(cfg):
     k = _need_k(cfg)
-    degree = _config_int(cfg.get("degree", 6), "degree")
+    degree = _degree(cfg.get("degree", 6))
     return _report_from_comparisons([pf_check(k, degree)])
 
 
 def cmd_genus1_fit(cfg):
     k = _need_k(cfg)
-    degree = _config_int(cfg.get("degree", 6), "degree")
+    degree = _degree(cfg.get("degree", 6))
     # the fitted exponents only; a mismatch with the closed form is for
     # verify-genus1 to report
     report = dict(genus1_fit_check(k, degree).details)
@@ -235,7 +233,7 @@ def cmd_an(cfg):
     n = _config_int(n, "n")
     geom = geometry("a_n", n)
     box = parse_degree(cfg.get("degree", 3), n)
-    table = gw_table(geom, box, _lambda_depth(cfg))
+    table = gw_table(geom, box)
     report = {"geometry": geom.name, "invariants": table.render()}
     if n != 2:
         return report, True
@@ -293,17 +291,20 @@ def _config_int(value, what):
         raise ConfigError("%s must be an integer, got %r" % (what, value)) from None
 
 
+def _degree(value, what="degree"):
+    """Every degree read, scalar or box entry, is an integer >= 1."""
+    degree = _config_int(value, what)
+    if degree < 1:
+        raise ConfigError("%s must be >= 1, got %d" % (what, degree))
+    return degree
+
+
 def _parse_rat(value, what="value"):
     num, slash, den = str(value).partition("/")
     den = _config_int(den, what + " denominator") if slash else 1
     if den == 0:
         raise ConfigError("%s has a zero denominator: %r" % (what, value))
     return rat(_config_int(num, what + " numerator"), den)
-
-
-def _lambda_depth(cfg):
-    depth = cfg.get("lambda_depth")
-    return None if depth is None else _config_int(depth, "lambda_depth")
 
 
 # config key -> help text; the flag is --key with "_" written as "-"
@@ -314,21 +315,20 @@ _FLAGS = {
     "action": "torus action preset (antidiagonal, diagonal, generic, both)",
     "degree": "degree box, integer or comma list",
     "fiber_degree": "fiber degree of the projective bundle",
-    "lambda_depth": "weight window depth, overriding the default",
     "delta_exponent": "discriminant exponent, a rational such as -7/48",
     "jacobian_exponent": "jacobian exponent, a rational such as 1/2",
 }
 
 # command -> (handler, the config keys it reads that a flag may set)
 _COMMANDS = {
-    "gw": (cmd_gw, ("geometry", "k", "n", "action", "degree", "lambda_depth")),
+    "gw": (cmd_gw, ("geometry", "k", "n", "action", "degree")),
     "verify-genus0": (cmd_verify_genus0, ("k", "degree")),
     "verify-genus1": (cmd_verify_genus1, ("k", "degree")),
-    "verify-factored": (cmd_verify_factored, ("k", "action", "degree", "lambda_depth")),
+    "verify-factored": (cmd_verify_factored, ("k", "action", "degree")),
     "verify-fibration": (cmd_verify_fibration, ("degree", "fiber_degree")),
     "pf-check": (cmd_pf_check, ("k", "degree")),
     "genus1-fit": (cmd_genus1_fit, ("k", "degree")),
-    "an": (cmd_an, ("n", "degree", "lambda_depth")),
+    "an": (cmd_an, ("n", "degree")),
     "trivalent": (cmd_trivalent, ("action", "degree")),
     "a2-genus1": (cmd_a2_genus1, ("degree", "delta_exponent", "jacobian_exponent")),
 }

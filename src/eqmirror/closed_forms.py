@@ -583,9 +583,8 @@ def a2_genus1_check(
     logj = -logdet
     jacobian_ratio = _proportionality(logj, logdelta)
 
-    apow = sring.zero()
-    for beta in chain_classes(2):
-        apow = apow - (sring.one() - sring.monomial(beta)).log() * rat(1, 12)
+    # -(1/12) sum_beta log(1 - x^beta) = (1/12) sum_beta Li_1(x^beta)
+    apow = an_prepotential(2, sring, weight=1) * rat(1, 12)
     gsum = sring.zero()
     for a_i, g in zip(coordinate_exponents, corrections):
         gsum = gsum + g.subs(inverse) * rat(a_i)

@@ -388,11 +388,13 @@ def default_series_ring(geom, box, lambda_depth=None, hbar_min=None, hbar_max=No
     The hbar window defaults to [-(depth + 3), depth]: the lower bound
     leaves room for the double 1/hbar bracket read after normalization
     (two units) plus one unit for each hbar carried by the normalizing
-    coefficients.  The lambda depth defaults to sum(box) + 1, doubled for
-    geometries with at-infinity weights: there the factorization
-    coefficients pair lambda^-j against the lambda^(+j) content of the
-    series coefficients (which reaches twice the degree), so shallower
-    windows would drop cross terms from the low-lambda-degree reads.
+    coefficients.  The lambda depth is sum(box) + 1, or with at-infinity
+    weights one past the top exponent of each dominant weight in any C_d,
+    which the factorization pairs against lambda^-j tails: numerators lift
+    it by at most one each and 1/lambda factors lower it by at least one
+    each, so it is at most sum_i box_i max(0, -c_i), c_i the sum of l^j_i
+    over the columns j carrying the weight.  That depth is never below
+    2 sum(box) + 1.  The overrides probe the thresholds ``birkhoff`` checks.
     """
     box = tuple(int(b) for b in box)
     if len(box) != geom.nrows or any(b < 0 for b in box):
@@ -401,6 +403,10 @@ def default_series_ring(geom, box, lambda_depth=None, hbar_min=None, hbar_max=No
         depth = int(lambda_depth)
     elif geom.infinity_weights:
         depth = 2 * sum(box) + 1
+        for name in geom.infinity_weights:
+            carrying = [j for j, w in enumerate(geom.weights) if w and w[0] == name]
+            charges = (sum(row[j] for j in carrying) for row in geom.mori)
+            depth = max(depth, 1 + sum(b * max(0, -c) for b, c in zip(box, charges)))
     else:
         depth = sum(box) + 1
     if depth < 1:

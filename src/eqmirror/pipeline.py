@@ -423,11 +423,6 @@ class GWTable:
 
     entries: dict
 
-    def __eq__(self, other):
-        if not isinstance(other, GWTable):
-            return NotImplemented
-        return self.entries == other.entries
-
     def rows(self):
         return [(degs, self.entries[degs]) for degs in sorted(self.entries)]
 
@@ -462,12 +457,12 @@ class PipelineResult:
 _PIPELINE_CACHE = {}
 
 
-def run_pipeline(geom, box, lambda_depth=None):
-    key = (geom.key, tuple(box), lambda_depth)
+def run_pipeline(geom, box):
+    key = (geom.key, tuple(box))
     got = _PIPELINE_CACHE.get(key)
     if got is not None:
         return got
-    sring = default_series_ring(geom, box, lambda_depth)
+    sring = default_series_ring(geom, box)
     i_series = ifunction(geom, sring)
     fact = birkhoff(i_series)
     mirror = extract_mirror_maps(fact.j)
@@ -507,7 +502,7 @@ def _extraction_rule(geom):
     raise PipelineError("no curve class extraction rule for family %r" % (geom.family,))
 
 
-def gw_table(geom, box, lambda_depth=None):
+def gw_table(geom, box):
     """Instanton numbers from the restricted double bracket.
 
     For the chain geometries the lambda_i^2 component equals
@@ -515,7 +510,7 @@ def gw_table(geom, box, lambda_depth=None):
     families the quadratic weight component plays the same role with
     beta_i replaced by the curve degree."""
     assignments, components = _extraction_rule(geom)
-    restriction = restrict_w(run_pipeline(geom, box, lambda_depth).w, assignments)
+    restriction = restrict_w(run_pipeline(geom, box).w, assignments)
     entries = {}
     for key, i in components:
         for beta, value in polylog_invert(restriction.component(*key), 2).items():
@@ -557,14 +552,14 @@ class ComparisonReport:
         )
 
 
-def factored_consistency_check(k, action, box, lambda_depth=None):
+def factored_consistency_check(k, action, box):
     """Invariants of the direct bundle presentation against the split one.
 
     The direct presentation uses one weighted column of charge k; the split
     presentation trades it for k columns of charge 1 and 2+k of charge -1.
     Both must produce identical tables."""
-    direct = gw_table(geometry("x_k", k, action), box, lambda_depth)
-    split = gw_table(geometry("x_k_factored", k, action), box, lambda_depth)
+    direct = gw_table(geometry("x_k", k, action), box)
+    split = gw_table(geometry("x_k_factored", k, action), box)
     passed = direct == split
     details = (
         ("direct", direct.render()),

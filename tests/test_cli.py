@@ -263,13 +263,57 @@ def test_unusable_configuration_exits_2(capsys):
     assert "--k" in err2
 
 
-def test_shallow_window_exits_3(capsys):
-    rc, _, err = run_cli(
-        capsys,
-        "gw", "--geometry", "x_k", "--k", "1", "--degree", "4", "--lambda-depth", "3",
+def write_cubic_config(tmp_path, weights, infinity_weights):
+    # a single column of charge -3 next to three of charge 1
+    cfg = tmp_path / "cubic.cfg"
+    cfg.write_text(
+        "family = x_k\n"
+        "mori = ((1, 1, 1, -3),)\n"
+        "weights = %r\n"
+        "generators = ('p',)\n"
+        "relations = ({(2,): 1},)\n"
+        "lambda_names = %r\n"
+        "infinity_weights = %r\n" % (weights, infinity_weights, infinity_weights)
     )
+    return str(cfg)
+
+
+def test_inexact_factorization_exits_3(capsys, tmp_path):
+    cfg = write_cubic_config(tmp_path, (None, None, ("lam", 1), ("mu", 1)), ("lam", "mu"))
+    rc, out, err = run_cli(capsys, "gw", "--config", cfg, "--degree", "2")
     assert rc == 3
-    assert "retention windows too shallow" in err
+    assert out == ""
+    assert "window clipping would not be exact" in err
+
+
+def test_cubic_weighted_column_gets_a_deep_enough_window(capsys, tmp_path, monkeypatch):
+    # the weighted column reaches lam^(3d), past the 2d + 1 of the old default
+    monkeypatch.setattr(pipeline, "_PIPELINE_CACHE", {})
+    cfg = write_cubic_config(tmp_path, (None, None, None, ("lam", 1)), ("lam",))
+    rc, out, _ = run_cli(capsys, "gw", "--config", cfg, "--degree", "3")
+    assert rc == 0
+    assert "invariants:\n  1: -3\n  2: 15/2\n  3: -39\n" in out
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (("verify-genus0", "--k", "2", "--degree"), "degree"),
+        (("verify-genus1", "--k", "3", "--degree"), "degree"),
+        (("pf-check", "--k", "2", "--degree"), "degree"),
+        (("genus1-fit", "--k", "2", "--degree"), "degree"),
+        (("verify-fibration", "--degree"), "degree"),
+        (("verify-fibration", "--degree", "2", "--fiber-degree"), "fiber_degree"),
+        (("gw", "--geometry", "x_k", "--k", "1", "--degree"), "degree"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, tuple) else v,
+)
+def test_degrees_below_one_exit_2(capsys, argv, what, value):
+    rc, out, err = run_cli(capsys, *argv, value)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: %s must be >= 1, got %s\n" % (what, value)
 
 
 def test_out_file_respects_output_dir(capsys, tmp_path, monkeypatch):
@@ -315,13 +359,12 @@ def test_explicit_config_reads_infinity_weights(capsys, tmp_path, monkeypatch):
         (("a2-genus1", "--jacobian-exponent=1/0"), None),
         (("verify-genus0",), "k = two\n"),
         (("verify-fibration",), "fiber_degree = 1.5\n"),
-        (("gw", "--geometry", "x_k", "--k", "1"), "lambda_depth = deep\n"),
         (("gw",), "geometry = a_n\nn = (2,)\n"),
         (("gw",), "mori = ((1, 'a'),)\nweights = (None, None)\ngenerators = ('p',)\n"),
     ],
     ids=[
         "rational", "zero-denominator", "k", "fiber-degree",
-        "lambda-depth", "parameter", "mori",
+        "parameter", "mori",
     ],
 )
 def test_bad_numbers_exit_2(capsys, tmp_path, argv, config):
@@ -355,14 +398,14 @@ def test_bad_degree_exits_2_without_traceback():
 # the computation flags each command takes; --config, --out, --format and
 # --help are on every command
 COMMAND_FLAGS = {
-    "gw": {"--geometry", "--k", "--n", "--action", "--degree", "--lambda-depth"},
+    "gw": {"--geometry", "--k", "--n", "--action", "--degree"},
     "verify-genus0": {"--k", "--degree"},
     "verify-genus1": {"--k", "--degree"},
-    "verify-factored": {"--k", "--action", "--degree", "--lambda-depth"},
+    "verify-factored": {"--k", "--action", "--degree"},
     "verify-fibration": {"--degree", "--fiber-degree"},
     "pf-check": {"--k", "--degree"},
     "genus1-fit": {"--k", "--degree"},
-    "an": {"--n", "--degree", "--lambda-depth"},
+    "an": {"--n", "--degree"},
     "trivalent": {"--action", "--degree"},
     "a2-genus1": {"--degree", "--delta-exponent", "--jacobian-exponent"},
 }

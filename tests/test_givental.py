@@ -24,6 +24,7 @@ from eqmirror.givental import (
     x_k_factored,
     y_k,
 )
+from eqmirror.pipeline import PipelineError, birkhoff
 from eqmirror.series import QSeries, SeriesRing, scalar_coeff_ring
 
 
@@ -149,6 +150,34 @@ def test_default_series_ring_windows():
         default_series_ring(g, (2, 2))
     with pytest.raises(GeometryError):
         default_series_ring(g, (3,), lambda_depth=0)
+
+
+def window_bounds(sring):
+    ring = sring.coeff
+    return ring.lambda_floor, ring.hbar_min, ring.hbar_max
+
+
+def test_derived_depth_keeps_every_builtin_one_row_window():
+    # the top lambda exponent of a one-row builtin never needs more than
+    # 2 sum(box) + 1, so the weight rule leaves these rings as they were
+    families = [("x_k", k) for k in range(-1, 6)] + [("x_k_factored", k) for k in range(1, 6)]
+    for family, parameter in families + [("d1", None)]:
+        for action in ("antidiagonal", "diagonal", "generic"):
+            g = geometry(family, parameter, action)
+            for b in range(1, 13):
+                depth = 2 * b + 1 if g.infinity_weights else b + 1
+                want = default_series_ring(g, (b,), lambda_depth=depth)
+                assert window_bounds(default_series_ring(g, (b,))) == window_bounds(want), (g, b)
+
+
+def test_derived_depth_passes_the_top_weight_exponent():
+    # one cubic column carrying lam reaches lam^(3d): the depth follows it
+    g = GeometrySpec(
+        "cubic", ((1, 1, 1, -3),), (None, None, None, ("lam", 1)), ("p",), ({(2,): 1},),
+        ("lam",), infinity_weights=("lam",),
+    )
+    assert window_bounds(default_series_ring(g, (3,))) == ((-10,), -13, 10)
+    assert window_bounds(default_series_ring(g, (1,))) == ((-4,), -7, 4)
 
 
 def test_ifunction_conifold_degree_one():
@@ -439,6 +468,18 @@ def custom_geometries(draw):
     )
     box = tuple(draw(st.integers(1, 3 if nrows == 1 else 2)) for _ in range(nrows))
     return geom, box
+
+
+@settings(max_examples=300, deadline=None)
+@given(custom_geometries())
+def test_default_ring_is_deep_enough_for_birkhoff(case):
+    # birkhoff re-derives the weight window from the series it is given;
+    # the default ring must always pass that check
+    geom, box = case
+    try:
+        birkhoff(ifunction(geom, default_series_ring(geom, box)))
+    except PipelineError as exc:
+        assert "retention windows too shallow" not in str(exc)
 
 
 @settings(max_examples=60, deadline=None)

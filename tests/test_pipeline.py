@@ -73,8 +73,8 @@ def test_factorization_input_guards():
 
 
 def test_shallow_window_is_refused():
-    with pytest.raises(BirkhoffError):
-        run_pipeline(geometry("x_k", 1, "antidiagonal"), (4,), lambda_depth=3)
+    with pytest.raises(BirkhoffError, match="retention windows too shallow"):
+        birkhoff(i_series_on(geometry("x_k", 1, "antidiagonal"), (4,), lambda_depth=3))
 
 
 def lam_top(i_series):
