@@ -60,15 +60,12 @@ from .closed_forms import (
     ClosedGenus0,
     ClosedGenus1,
     Genus1Fit,
-    a2_bracket_check,
     a2_discriminant,
     a2_genus1_check,
     amodel_prepotential,
-    an_prepotential,
     bundle_bps,
     bundle_genus1_fit,
     bundle_mirror_check,
-    chain_classes,
     epsilon,
     ftt_identity_check,
     genus0_data,
@@ -82,10 +79,10 @@ from .closed_forms import (
     prepotential_coefficient,
     prepotential_derivative,
     scalar_series_ring,
+    tree_bracket_check,
+    tree_classes,
+    tree_prepotential,
     triple_intersection,
-    trivalent_bracket_check,
-    trivalent_classes,
-    trivalent_prepotential,
     yukawa_check,
 )
 

@@ -26,14 +26,13 @@ import time
 
 from .closed_forms import (
     ClosedFormError,
-    a2_bracket_check,
     a2_genus1_check,
     bundle_mirror_check,
     ftt_identity_check,
     genus1_fit_check,
     genus1_reference_check,
     pf_check,
-    trivalent_bracket_check,
+    tree_bracket_check,
     yukawa_check,
     GENUS1_REFERENCE,
 )
@@ -192,7 +191,7 @@ def cmd_verify_genus1(cfg):
     reports = []
     if k in GENUS1_REFERENCE:
         reports.append(genus1_reference_check(k, min(degree, 5)))
-    reports.append(genus1_fit_check(k, max(degree, 4)))
+    reports.append(genus1_fit_check(k, degree))
     return _report_from_comparisons(reports)
 
 
@@ -237,7 +236,7 @@ def cmd_an(cfg):
     report = {"geometry": geom.name, "invariants": table.render()}
     if n != 2:
         return report, True
-    extra, passed = _report_from_comparisons([a2_bracket_check(box)])
+    extra, passed = _report_from_comparisons([tree_bracket_check(geom, box)])
     report.update(extra)
     return report, passed
 
@@ -246,7 +245,7 @@ def cmd_trivalent(cfg):
     choice = str(cfg.get("action", "both"))
     actions = ("diagonal", "antidiagonal") if choice == "both" else (choice,)
     box = parse_degree(cfg.get("degree", 2), 3)
-    reports = [trivalent_bracket_check(a, box) for a in actions]
+    reports = [tree_bracket_check(geometry("trivalent", None, a), box) for a in actions]
     return _report_from_comparisons(reports)
 
 

@@ -4,12 +4,13 @@ The one-parameter family is the rank-two bundle of splitting type
 (k, -2-k) over the projective line, k >= 1, under the antidiagonal
 action.  Its mirror map, Yukawa coupling, quantum differential operator
 and genus-1 potential all admit rational closed forms, collected here
-together with the chain and trivalent prepotentials and the genus-1
-identity for the two-curve chain.  Everything is exact; check functions
-compare truncated series for identity and report mismatches rather than
-tolerances.
+together with the prepotentials of the tree geometries (the a_n chains and
+the trivalent star) and the genus-1 identity for the two-curve chain.
+Everything is exact; check functions compare truncated series for identity
+and report mismatches rather than tolerances.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -443,49 +444,46 @@ def bundle_bps(k, dmax):
 
 
 # ---------------------------------------------------------------------------
-# chain and trivalent prepotentials
+# tree prepotentials: the a_n chains and the trivalent star
 # ---------------------------------------------------------------------------
 
 
-def chain_classes(n):
-    """Effective classes of the length-n chain: consecutive index intervals."""
-    if n < 1:
-        raise ClosedFormError("chains need at least one curve")
-    out = []
-    for i in range(n):
-        for j in range(i, n):
-            out.append(tuple(1 if i <= m <= j else 0 for m in range(n)))
-    return tuple(out)
+def tree_classes(geom):
+    """Signed effective classes of a tree preset.
+
+    A preset's curves meet at points along a tree: the chain a_n at the
+    points {i, i+1}, the trivalent star at one point on all three curves.
+    The classes are the nonempty sets S of curves connected through those
+    points, each with sign s^(|S|-1), s = -1 only for the antidiagonal star.
+    Since the curves and points form a tree, S is connected exactly when
+    the points it meets twice or more join it with |S| - 1 links.  Any other
+    spec has no closed form here.
+    """
+    n = geom.nrows
+    presets = {
+        geometry("a_n", n).key: ([{i, i + 1} for i in range(n - 1)], 1),
+        geometry("trivalent", None, "diagonal").key: ([{0, 1, 2}], 1),
+        geometry("trivalent", None, "antidiagonal").key: ([{0, 1, 2}], -1),
+    }
+    if geom.key not in presets:
+        raise ClosedFormError(
+            "closed forms exist for the a_n chains and the two signed trivalent stars"
+        )
+    points, s = presets[geom.key]
+    subsets = sorted(c for r in range(1, n + 1) for c in itertools.combinations(range(n), r))
+    return tuple(
+        (tuple(1 if m in c else 0 for m in range(n)), s ** (len(c) - 1))
+        for c in subsets
+        if sum(max(0, len(p.intersection(c)) - 1) for p in points) == len(c) - 1
+    )
 
 
-def an_prepotential(n, sring, weight=3):
-    """Sum of Li_weight over the chain classes."""
-    if sring.nvars != n:
-        raise ClosedFormError("the chain prepotential needs one variable per curve")
+def tree_prepotential(geom, sring, weight=3):
+    """Sum of the signed Li_weight over the tree classes."""
+    if sring.nvars != geom.nrows:
+        raise ClosedFormError("the tree prepotential needs one variable per curve")
     total = sring.zero()
-    for beta in chain_classes(n):
-        total = total + polylog_series(sring, weight, beta)
-    return total
-
-
-def trivalent_classes(action):
-    """Classes with signs for the three-curve star: the pair terms flip."""
-    if action == "diagonal":
-        pair = 1
-    elif action == "antidiagonal":
-        pair = -1
-    else:
-        raise ClosedFormError("trivalent prepotentials exist for the two sign actions")
-    classes = [((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1), ((1, 1, 1), 1)]
-    classes += [((1, 1, 0), pair), ((1, 0, 1), pair), ((0, 1, 1), pair)]
-    return tuple(classes)
-
-
-def trivalent_prepotential(action, sring, weight=3):
-    if sring.nvars != 3:
-        raise ClosedFormError("the trivalent prepotential has three curve classes")
-    total = sring.zero()
-    for beta, sign in trivalent_classes(action):
+    for beta, sign in tree_classes(geom):
         total = total + polylog_series(sring, weight, beta, sign)
     return total
 
@@ -584,7 +582,7 @@ def a2_genus1_check(
     jacobian_ratio = _proportionality(logj, logdelta)
 
     # -(1/12) sum_beta log(1 - x^beta) = (1/12) sum_beta Li_1(x^beta)
-    apow = an_prepotential(2, sring, weight=1) * rat(1, 12)
+    apow = tree_prepotential(geom, sring, weight=1) * rat(1, 12)
     gsum = sring.zero()
     for a_i, g in zip(coordinate_exponents, corrections):
         gsum = gsum + g.subs(inverse) * rat(a_i)
@@ -625,76 +623,64 @@ def _proportionality(series, reference):
 # ---------------------------------------------------------------------------
 
 
-def a2_bracket_check(box=(3, 3)):
-    """Restricted double bracket of the two-curve chain vs prepotential.
-
-    Setting p2 = lam2 = 0 isolates the first curve: the lam1^2 component
-    must be dF/dt1 and the p1 lam1 component 2 dF/dt1 - dF/dt2, both at
-    polylog weight two, F the chain prepotential.
-    """
-    res = run_pipeline(geometry("a_n", 2), tuple(box))
-    rest = restrict_w(res.w, {"p2": 0, "lam2": 0})
-    sring = rest.sring
-
-    def li(beta, coeff=1):
-        return polylog_series(sring, 2, beta, coeff)
-
-    expect_a = li((1, 0)) + li((1, 1))
-    expect_b = li((1, 0), 2) + li((1, 1)) - li((0, 1))
-    got_a = rest.component((0, 0), (2,))
-    got_b = rest.component((1, 0), (1,))
-    extra = set(rest.components) - {((0, 0), (2,)), ((1, 0), (1,))}
-    return ComparisonReport.from_checks(
-        "chain double bracket through %s" % ("x".join(str(b) for b in box),),
+# Restricted double brackets of the tree presets: the report label, the
+# restriction (it isolates the first curve), and per component its label,
+# its key, the pairing coefficients c, the overall sign (the computed one)
+# and the classes it excludes.  On the diagonal star the class x2 x3 cannot
+# reach the p1 lam component: its restricted content carries only lam1.
+_TREE_BRACKETS = {
+    "a_n(2)": (
+        "chain double bracket through %s",
+        {"p2": 0, "lam2": 0},
         (
-            ("lam1^2 component", got_a == expect_a),
-            ("p1 lam1 component", got_b == expect_b),
-            ("no other components", not extra),
+            ("lam1^2 component", ((0, 0), (2,)), (1, 0), 1, ()),
+            ("p1 lam1 component", ((1, 0), (1,)), (2, -1), 1, ()),
         ),
-    )
+    ),
+    "trivalent(diagonal)": (
+        "trivalent diagonal double bracket through %s",
+        {"lam1": 0, "p2": 0, "p3": 0},
+        (
+            ("lam^2 component", ((0, 0, 0), (2,)), (1, 0, 0), 1, ()),
+            ("p1 lam component", ((1, 0, 0), (1,)), (2, -1, -1), -1, ((0, 1, 1),)),
+        ),
+    ),
+    "trivalent(antidiagonal)": (
+        "trivalent antidiagonal double bracket through %s",
+        {"lam1": 0, "p2": 0, "p3": 0},
+        (
+            ("lam^2 component", ((0, 0, 0), (2,)), (1, 0, 0), -1, ()),
+            ("p1 lam component", ((1, 0, 0), (1,)), (0, -1, 1), 1, ()),
+        ),
+    ),
+}
 
 
-def trivalent_bracket_check(action, box=(2, 2, 2)):
-    """Restricted double bracket of the three-curve star vs prepotential.
+def tree_bracket_check(geom, box):
+    """Restricted double bracket of a tree preset vs its prepotential.
 
-    Setting lam1 = p2 = p3 = 0 isolates the first curve.  The surviving
-    components are derivative combinations of the prepotential whose pair
-    classes carry the action's sign; the class x2 x3 cannot contribute to
-    the p1 lam component (its restricted content carries only lam1), so it
-    is excluded there.  The overall signs are the computed ones.
+    Each tabulated component must be sign * sum_beta sign_beta <c, beta>
+    Li_2(x^beta) over the tree classes beta it does not exclude: a
+    derivative combination of the prepotential at polylog weight two.  On
+    the chain no other component may survive the restriction.
     """
-    res = run_pipeline(geometry("trivalent", None, action), tuple(box))
-    rest = restrict_w(res.w, {"lam1": 0, "p2": 0, "p3": 0})
-    sring = rest.sring
-    classes = trivalent_classes(action)
-
-    def combo(coeffs, exclude=()):
-        total = sring.zero()
-        for beta, sign in classes:
-            if beta in exclude:
-                continue
+    classes = tree_classes(geom)
+    if geom.name not in _TREE_BRACKETS:
+        raise ClosedFormError("no bracket comparison for %s" % geom.name)
+    label, restriction, components = _TREE_BRACKETS[geom.name]
+    rest = restrict_w(run_pipeline(geom, tuple(box)).w, restriction)
+    checks = []
+    for name, key, coeffs, sign, exclude in components:
+        expect = rest.sring.zero()
+        for beta, sign_beta in classes:
             pair = sum(c * b for c, b in zip(coeffs, beta))
-            if pair:
-                total = total + polylog_series(sring, 2, beta, rat(sign * pair))
-        return total
-
-    if action == "diagonal":
-        expect_a = combo((1, 0, 0))
-        expect_b = -combo((2, -1, -1), exclude=((0, 1, 1),))
-    elif action == "antidiagonal":
-        expect_a = -combo((1, 0, 0))
-        expect_b = combo((0, -1, 1))
-    else:
-        raise ClosedFormError("bracket comparisons exist for the two sign actions")
-    got_a = rest.component((0, 0, 0), (2,))
-    got_b = rest.component((1, 0, 0), (1,))
-    return ComparisonReport.from_checks(
-        "trivalent %s double bracket through %s" % (action, "x".join(str(b) for b in box)),
-        (
-            ("lam^2 component", got_a == expect_a),
-            ("p1 lam component", got_b == expect_b),
-        ),
-    )
+            if pair and beta not in exclude:
+                expect = expect + polylog_series(rest.sring, 2, beta, rat(sign * sign_beta * pair))
+        checks.append((name, rest.component(*key) == expect))
+    if geom.family == "a_n":
+        extra = set(rest.components) - {key for _, key, _, _, _ in components}
+        checks.append(("no other components", not extra))
+    return ComparisonReport.from_checks(label % "x".join(str(b) for b in box), checks)
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,27 @@ def d1(action="antidiagonal"):
     )
 
 
+def _tree(family, parameter, action, mori, weights):
+    """Curves glued along a tree: one generator p_i per curve (charge row),
+    relations p_i p_j = 0 for i <= j, and the lambda names in the order
+    their columns first carry them."""
+    n = len(mori)
+    rels = tuple(
+        {tuple((m == i) + (m == j) for m in range(n)): 1} for i in range(n) for j in range(i, n)
+    )
+    return GeometrySpec(
+        name="%s(%s)" % (family, action if parameter is None else parameter),
+        mori=mori,
+        weights=weights,
+        generators=tuple("p%d" % i for i in range(1, n + 1)),
+        relations=rels,
+        lambda_names=tuple(dict.fromkeys(w[0] for w in weights if w)),
+        family=family,
+        parameter=parameter,
+        action=action,
+    )
+
+
 def a_n(n):
     """Resolved A_n surface chain: n curves, n+2 columns, generic weights."""
     n = int(n)
@@ -268,33 +289,11 @@ def a_n(n):
         row[r] -= 2
         row[r + 1] += 1
         mori.append(tuple(row))
-    names = tuple("lam%d" % i for i in range(1, n + 1))
     # the sign pins the orientation of the odd-weight components of the
     # double bracket; -1 makes the p_i lam_i parts match the prepotential
     # derivative combinations read off the interior columns
-    weights = [None]
-    for i in range(1, n + 1):
-        weights.append((names[i - 1], -1))
-    weights.append(None)
-    gens = tuple("p%d" % i for i in range(1, n + 1))
-    rels = []
-    for i in range(n):
-        for j in range(i, n):
-            m = [0] * n
-            m[i] += 1
-            m[j] += 1
-            rels.append({tuple(m): 1})
-    return GeometrySpec(
-        name="a_n(%d)" % n,
-        mori=tuple(mori),
-        weights=tuple(weights),
-        generators=gens,
-        relations=tuple(rels),
-        lambda_names=names,
-        family="a_n",
-        parameter=n,
-        action="generic",
-    )
+    weights = (None,) + tuple(("lam%d" % i, -1) for i in range(1, n + 1)) + (None,)
+    return _tree("a_n", n, "generic", tuple(mori), weights)
 
 
 def trivalent(action="generic"):
@@ -302,38 +301,18 @@ def trivalent(action="generic"):
     three columns; presets fix lam2, lam3 to +-lam and keep lam1 free."""
     if action == "generic":
         w = (("lam1", 1), ("lam2", 1), ("lam3", 1))
-        names = ("lam1", "lam2", "lam3")
     elif action == "diagonal":
         w = (("lam1", 1), ("lam", 1), ("lam", 1))
-        names = ("lam1", "lam")
     elif action == "antidiagonal":
         w = (("lam1", 1), ("lam", 1), ("lam", -1))
-        names = ("lam1", "lam")
     else:
         raise GeometryError("unknown torus action %r" % (action,))
-    gens = ("p1", "p2", "p3")
-    rels = []
-    for i in range(3):
-        for j in range(i, 3):
-            m = [0, 0, 0]
-            m[i] += 1
-            m[j] += 1
-            rels.append({tuple(m): 1})
-    return GeometrySpec(
-        name="trivalent(%s)" % action,
-        mori=(
-            (1, 0, 0, 1, -1, -1),
-            (0, 1, 0, -1, 1, -1),
-            (0, 0, 1, -1, -1, 1),
-        ),
-        weights=(None, None, None) + w,
-        generators=gens,
-        relations=tuple(rels),
-        lambda_names=names,
-        family="trivalent",
-        parameter=None,
-        action=action,
+    mori = (
+        (1, 0, 0, 1, -1, -1),
+        (0, 1, 0, -1, 1, -1),
+        (0, 0, 1, -1, -1, 1),
     )
+    return _tree("trivalent", None, action, mori, (None, None, None) + w)
 
 
 def y_k(k):

@@ -138,3 +138,96 @@ def multicover_invert(values, weight):
 def polylog_coeffs(weight, order):
     """Li_weight(x) coefficient list."""
     return [Fraction(0)] + [Fraction(1, d**weight) for d in range(1, order + 1)]
+
+
+# ---------------------------------------------------------------------------
+# the chain and star geometries as two hand-built families: the keyword
+# arguments of GeometrySpec and the signed class tables, written out
+# separately for each family
+# ---------------------------------------------------------------------------
+
+
+def a_n_fields(n):
+    mori = []
+    for r in range(1, n + 1):
+        row = [0] * (n + 2)
+        row[r - 1] += 1
+        row[r] -= 2
+        row[r + 1] += 1
+        mori.append(tuple(row))
+    names = tuple("lam%d" % i for i in range(1, n + 1))
+    weights = [None]
+    for i in range(1, n + 1):
+        weights.append((names[i - 1], -1))
+    weights.append(None)
+    gens = tuple("p%d" % i for i in range(1, n + 1))
+    rels = []
+    for i in range(n):
+        for j in range(i, n):
+            m = [0] * n
+            m[i] += 1
+            m[j] += 1
+            rels.append({tuple(m): 1})
+    return dict(
+        name="a_n(%d)" % n,
+        mori=tuple(mori),
+        weights=tuple(weights),
+        generators=gens,
+        relations=tuple(rels),
+        lambda_names=names,
+        family="a_n",
+        parameter=n,
+        action="generic",
+    )
+
+
+def trivalent_fields(action):
+    if action == "generic":
+        w = (("lam1", 1), ("lam2", 1), ("lam3", 1))
+        names = ("lam1", "lam2", "lam3")
+    elif action == "diagonal":
+        w = (("lam1", 1), ("lam", 1), ("lam", 1))
+        names = ("lam1", "lam")
+    else:
+        w = (("lam1", 1), ("lam", 1), ("lam", -1))
+        names = ("lam1", "lam")
+    rels = []
+    for i in range(3):
+        for j in range(i, 3):
+            m = [0, 0, 0]
+            m[i] += 1
+            m[j] += 1
+            rels.append({tuple(m): 1})
+    return dict(
+        name="trivalent(%s)" % action,
+        mori=(
+            (1, 0, 0, 1, -1, -1),
+            (0, 1, 0, -1, 1, -1),
+            (0, 0, 1, -1, -1, 1),
+        ),
+        weights=(None, None, None) + w,
+        generators=("p1", "p2", "p3"),
+        relations=tuple(rels),
+        lambda_names=names,
+        family="trivalent",
+        parameter=None,
+        action=action,
+    )
+
+
+def chain_classes(n):
+    """Consecutive index intervals of the length-n chain."""
+    out = []
+    for i in range(n):
+        for j in range(i, n):
+            out.append(tuple(1 if i <= m <= j else 0 for m in range(n)))
+    return tuple(out)
+
+
+def trivalent_classes(action):
+    """Signed classes of the three-curve star: the pair terms flip under
+    the antidiagonal action."""
+    pair = 1 if action == "diagonal" else -1
+    classes = [((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1), ((1, 1, 1), 1)]
+    classes += [((1, 1, 0), pair), ((1, 0, 1), pair), ((0, 1, 1), pair)]
+    return tuple(classes)

@@ -14,7 +14,6 @@ import pytest
 from eqmirror import (
     GeometrySpec,
     ThetaOperator,
-    a2_bracket_check,
     a2_genus1_check,
     annihilation_check,
     bundle_genus1_fit,
@@ -32,8 +31,7 @@ from eqmirror import (
     restrict_w,
     run_pipeline,
     series_reversion,
-    trivalent_bracket_check,
-    trivalent_classes,
+    tree_bracket_check,
     yukawa_check,
 )
 from eqmirror.closed_forms import GENUS1_REFERENCE as _G1REF_LIVE
@@ -161,7 +159,7 @@ def test_c08_equivariant_operator_suite():
 
 
 def test_c09_two_curve_chain():
-    bracket = a2_bracket_check((3, 3))
+    bracket = tree_bracket_check(geometry("a_n", 2), (3, 3))
     table_ok = gw_table(geometry("a_n", 2), (3, 3)).entries == {
         (1, 0): rat(1),
         (0, 1): rat(1),
@@ -203,8 +201,8 @@ def test_c09_chain_genus1_with_stated_exponents():
 
 
 def test_c10_trivalent_star_and_pair_class_sign_flip():
-    ok = trivalent_bracket_check("diagonal", (2, 2, 2)).passed
-    ok = ok and trivalent_bracket_check("antidiagonal", (2, 2, 2)).passed
+    ok = tree_bracket_check(geometry("trivalent", None, "diagonal"), (2, 2, 2)).passed
+    ok = ok and tree_bracket_check(geometry("trivalent", None, "antidiagonal"), (2, 2, 2)).passed
     # relative sign: the two-curve classes keep their sign across the two
     # actions while the single and triple classes flip
     signs = {}

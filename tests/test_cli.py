@@ -224,6 +224,27 @@ def test_genus1_fit_mismatch_exits_1(capsys, monkeypatch):
     assert body["details"]["log jacobian"] == "1/3"
 
 
+def test_verify_genus1_fits_at_the_degree_asked_for(capsys, monkeypatch):
+    from eqmirror import closed_forms
+
+    fit, degrees = closed_forms.bundle_genus1_fit, []
+
+    def recording(k, degree):
+        degrees.append(degree)
+        return fit(k, degree)
+
+    monkeypatch.setattr(closed_forms, "bundle_genus1_fit", recording)
+    rc, _, _ = run_cli(capsys, "verify-genus1", "--k", "3", "--degree", "2")
+    assert rc == 0
+    assert degrees == [2]
+    # the fit needs degree 2, as genus1-fit does
+    for command in ("verify-genus1", "genus1-fit"):
+        rc, out, err = run_cli(capsys, command, "--k", "2", "--degree", "1")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: no log-ansatz fit")
+
+
 def test_an_command_includes_bracket_check(capsys):
     rc, out, _ = run_cli(capsys, "an", "--n", "2", "--degree", "2", "--format", "json")
     assert rc == 0
@@ -238,6 +259,13 @@ def test_trivalent_command_runs_both_actions(capsys):
     report = json.loads(out)
     assert len(report) == 2
     assert all(body["verdict"] == "pass" for body in report.values())
+
+
+def test_trivalent_generic_action_exits_2(capsys):
+    rc, out, err = run_cli(capsys, "trivalent", "--action", "generic", "--degree", "2")
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_a2_genus1_exit_codes(capsys):
@@ -460,12 +488,23 @@ def test_config_keys_a_command_does_not_read_are_accepted(capsys, tmp_path):
     assert "annihilated" in out
 
 
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+
+
 def _benchmark_commands():
-    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+    path = os.path.join(PERFBENCH, "workloads.py")
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.CLI_COMMANDS["full"]
+
+
+@pytest.mark.parametrize("command", _benchmark_commands())
+def test_benchmark_commands_replay_their_pinned_output(capsys, command):
+    with open(os.path.join(PERFBENCH, "reference.json"), encoding="utf-8") as fh:
+        pinned = json.load(fh)["full"]["verify_cli"][command]
+    rc, out, _ = run_cli(capsys, *command.split())
+    assert {"exit": rc, "stdout": out} == pinned
 
 
 def _readme_commands():

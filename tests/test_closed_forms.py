@@ -6,15 +6,12 @@ from eqmirror.closed_forms import (
     ClosedFormError,
     Genus1Fit,
     GENUS1_REFERENCE,
-    a2_bracket_check,
     a2_discriminant,
     a2_genus1_check,
     amodel_prepotential,
-    an_prepotential,
     bundle_bps,
     bundle_genus1_fit,
     bundle_mirror_check,
-    chain_classes,
     epsilon,
     ftt_identity_check,
     genus0_data,
@@ -27,16 +24,25 @@ from eqmirror.closed_forms import (
     prepotential_coefficient,
     prepotential_derivative,
     scalar_series_ring,
+    tree_bracket_check,
+    tree_classes,
+    tree_prepotential,
     triple_intersection,
-    trivalent_bracket_check,
-    trivalent_classes,
-    trivalent_prepotential,
     yukawa_check,
 )
 from eqmirror.exact_core import rat, rat_str
+from eqmirror.givental import GeometrySpec, a_n, trivalent
 from eqmirror.pipeline import polylog_invert
 
-from oracles import instanton_coefficient, lagrange_inverse, multicover_invert, ser_div
+from oracles import (
+    a_n_fields,
+    chain_classes,
+    instanton_coefficient,
+    lagrange_inverse,
+    multicover_invert,
+    ser_div,
+    trivalent_classes,
+)
 
 
 def test_signs_and_triple_intersections():
@@ -248,32 +254,38 @@ def test_bps_invert_other_weights():
 
 
 def test_chain_classes():
-    assert chain_classes(2) == ((1, 0), (1, 1), (0, 1))
-    assert len(chain_classes(4)) == 10
-    assert all(sum(c) >= 1 for c in chain_classes(3))
+    assert tree_classes(a_n(2)) == (((1, 0), 1), ((1, 1), 1), ((0, 1), 1))
+    assert len(tree_classes(a_n(4))) == 10
+    assert all(sum(c) >= 1 for c, _ in tree_classes(a_n(3)))
+    # a chain charge matrix under other weights is not the preset
+    other = dict(a_n_fields(2), weights=(None, ("lam1", 1), ("lam2", -1), None))
     with pytest.raises(ClosedFormError):
-        chain_classes(0)
+        tree_classes(GeometrySpec(**other))
+    for n in range(1, 7):
+        assert tree_classes(a_n(n)) == tuple((beta, 1) for beta in chain_classes(n))
 
 
 def test_chain_prepotential_coefficients():
     sr = scalar_series_ring((2, 2), names=("x1", "x2"))
-    f = an_prepotential(2, sr)
+    f = tree_prepotential(a_n(2), sr)
     assert f.coefficient((1, 1)).scalar_value() == rat(1)
     assert f.coefficient((2, 2)).scalar_value() == rat(1, 8)
     assert f.coefficient((2, 1)).is_zero()
     with pytest.raises(ClosedFormError):
-        an_prepotential(3, sr)
+        tree_prepotential(a_n(3), sr)
 
 
 def test_trivalent_classes_and_prepotential():
-    diag = dict(trivalent_classes("diagonal"))
-    anti = dict(trivalent_classes("antidiagonal"))
+    diag = dict(tree_classes(trivalent("diagonal")))
+    anti = dict(tree_classes(trivalent("antidiagonal")))
+    assert diag == dict(trivalent_classes("diagonal"))
+    assert anti == dict(trivalent_classes("antidiagonal"))
     assert diag[(1, 1, 0)] == 1 and anti[(1, 1, 0)] == -1
     assert diag[(1, 1, 1)] == 1 and anti[(1, 1, 1)] == 1
     with pytest.raises(ClosedFormError):
-        trivalent_classes("generic")
+        tree_classes(trivalent("generic"))
     sr = scalar_series_ring((2, 2, 2), names=("x1", "x2", "x3"))
-    f = trivalent_prepotential("antidiagonal", sr)
+    f = tree_prepotential(trivalent("antidiagonal"), sr)
     assert f.coefficient((1, 1, 0)).scalar_value() == rat(-1)
     assert f.coefficient((1, 1, 1)).scalar_value() == rat(1)
     assert f.coefficient((2, 2, 2)).scalar_value() == rat(1, 8)
@@ -289,14 +301,15 @@ def test_discriminant_box_clipping():
         a2_discriminant(scalar_series_ring(4))
 
 
-def test_chain_bracket_matches_prepotential():
-    rep = a2_bracket_check((3, 3))
+@pytest.mark.parametrize("box", ((3, 3), (2, 2), (2, 4)))
+def test_chain_bracket_matches_prepotential(box):
+    rep = tree_bracket_check(a_n(2), box)
     assert rep.passed, rep
 
 
 @pytest.mark.parametrize("action", ("diagonal", "antidiagonal"))
 def test_trivalent_bracket_matches_prepotential(action):
-    rep = trivalent_bracket_check(action, (2, 2, 2))
+    rep = tree_bracket_check(trivalent(action), (2, 2, 2))
     assert rep.passed, rep
 
 

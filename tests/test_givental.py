@@ -27,6 +27,8 @@ from eqmirror.givental import (
 from eqmirror.pipeline import PipelineError, birkhoff
 from eqmirror.series import QSeries, SeriesRing, scalar_coeff_ring
 
+from oracles import a_n_fields, trivalent_fields
+
 
 def test_bundle_factories():
     g = x_k(1, "antidiagonal")
@@ -67,6 +69,19 @@ def test_trivalent_factory():
     assert [sum(row) for row in g.mori] == [0, 0, 0]
     with pytest.raises(GeometryError):
         trivalent("skew")
+
+
+TREE_PRESETS = [(a_n(n), a_n_fields(n)) for n in range(1, 7)] + [
+    (trivalent(a), trivalent_fields(a)) for a in ("generic", "diagonal", "antidiagonal")
+]
+
+
+@pytest.mark.parametrize("preset, fields", TREE_PRESETS, ids=[g.name for g, _ in TREE_PRESETS])
+def test_tree_presets_match_the_hand_built_specs(preset, fields):
+    ref = GeometrySpec(**fields)
+    assert preset.key == ref.key
+    assert preset.algebra.basis == ref.algebra.basis
+    assert preset.algebra.table == ref.algebra.table
 
 
 def test_projective_factory():
