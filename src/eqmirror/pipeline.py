@@ -454,13 +454,22 @@ class PipelineResult:
     w: QSeries
 
 
+# least recently used first: a hit moves its key to the end, and an insert
+# past the fixed size drops the first key
 _PIPELINE_CACHE = {}
+_PIPELINE_CACHE_SIZE = 16
 
 
 def run_pipeline(geom, box):
+    """Every stage for ``geom`` up to the degree box, each entry >= 1; the
+    16 most recently used inputs are served from ``_PIPELINE_CACHE``."""
+    for degree in box:
+        if degree < 1:
+            raise PipelineError("degree must be >= 1, got %d" % degree)
     key = (geom.key, tuple(box))
-    got = _PIPELINE_CACHE.get(key)
+    got = _PIPELINE_CACHE.pop(key, None)
     if got is not None:
+        _PIPELINE_CACHE[key] = got
         return got
     sring = default_series_ring(geom, box)
     i_series = ifunction(geom, sring)
@@ -478,6 +487,8 @@ def run_pipeline(geom, box):
         w=w,
     )
     _PIPELINE_CACHE[key] = result
+    if len(_PIPELINE_CACHE) > _PIPELINE_CACHE_SIZE:
+        del _PIPELINE_CACHE[next(iter(_PIPELINE_CACHE))]
     return result
 
 

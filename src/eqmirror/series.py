@@ -20,9 +20,11 @@ input so the prefactor can never be silently duplicated or dropped.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 from .exact_core import (
@@ -42,6 +44,7 @@ __all__ = [
     "series_reversion",
 ]
 
+_R0 = rat(0)
 _R1 = rat(1)
 
 
@@ -413,6 +416,11 @@ class QSeries:
 
         Log-slot keys transform as log q_i -> log x_i + log U_i where
         U_i = images[i] / x_i.  The result lives in the ring of the images.
+        Each degree in the support becomes one image monomial from
+        :func:`_power_table`, scaled by its coefficient.  The images must
+        have rational coefficients: then no product here can leave the
+        coefficient windows, so no term is clipped and the result does not
+        depend on the order of the products.
         """
         self._require_plain("substitution")
         images = tuple(images)
@@ -428,6 +436,8 @@ class QSeries:
         for i, img in enumerate(images):
             if img.sring != target or img.prefactor or img.has_logs():
                 raise SeriesError("images must be plain log-free series in one ring")
+            if not all(c.is_scalar() for c in img.data.values()):
+                raise SeriesError("images must have rational coefficients")
             shifted = {}
             for (degs, logs), c in img.data.items():
                 if degs[i] < 1:
@@ -440,19 +450,7 @@ class QSeries:
                 raise SeriesError("images must have unit leading coefficient")
             units.append(unit)
 
-        max_deg = [0] * nv
-        max_log = [0] * nv
-        for degs, logs in self.data:
-            for i in range(nv):
-                max_deg[i] = max(max_deg[i], degs[i])
-                max_log[i] = max(max_log[i], logs[i])
-
-        unit_pows = []
-        for i, u in enumerate(units):
-            pows = [target.one()]
-            for _ in range(max_deg[i]):
-                pows.append(pows[-1] * u)
-            unit_pows.append(pows)
+        max_log = [max((logs[i] for _, logs in self.data), default=0) for i in range(nv)]
         logu_pows = []
         for i, u in enumerate(units):
             pows = [target.one()]
@@ -462,12 +460,12 @@ class QSeries:
                     pows.append(pows[-1] * lu)
             logu_pows.append(pows)
 
+        table = _power_table(
+            {degs for degs, _ in self.data}, images, operator.mul, target.one()
+        )
         total = target.zero()
         for (degs, logs), c in self.data.items():
-            term = target.monomial(degs, coeff=c)
-            for i in range(nv):
-                if degs[i]:
-                    term = term * unit_pows[i][degs[i]]
+            term = table[degs] * target.coeff.convert(c)
             for i in range(nv):
                 if logs[i]:
                     expanded = target.zero()
@@ -481,18 +479,129 @@ class QSeries:
         return total
 
 
+def _power_table(degrees, images, mul, one) -> dict:
+    """Image monomials M_d = prod_i images[i]^d_i for every d in ``degrees``.
+
+    M_0 = ``one`` and M_d = mul(M_{d - e_i}, images[i]) with i the first
+    nonzero position of d: one product per degree in ``degrees`` or on the
+    way down from one to 0.  ``mul`` decides the representation, so the same
+    walk serves :class:`QSeries` images and ``{degs: rat}`` ones.
+    """
+    table = {(0,) * len(images): one}
+
+    def power(d):
+        m = table.get(d)
+        if m is None:
+            i = next(j for j, e in enumerate(d) if e)
+            m = table[d] = mul(power(d[:i] + (d[i] - 1,) + d[i + 1 :]), images[i])
+        return m
+
+    for d in degrees:
+        power(d)
+    return table
+
+
 # ---------------------------------------------------------------------------
 # reversion of mirror-type coordinate changes
 # ---------------------------------------------------------------------------
 
 
+def _mul_cut(a: dict, b: dict, cut: int, box) -> dict:
+    """Product of two ``{degs: rat}`` series inside ``box`` through total
+    degree ``cut``."""
+    by_total = sorted((sum(d), d, c) for d, c in b.items())
+    out = {}
+    for d1, c1 in a.items():
+        room = cut - sum(d1)
+        for s2, d2, c2 in by_total:
+            if s2 > room:
+                break
+            d = tuple(map(operator.add, d1, d2))
+            if any(map(operator.gt, d, box)):
+                continue
+            out[d] = out.get(d, _R0) + c1 * c2
+    return {d: c for d, c in out.items() if c}
+
+
+def _compose(terms: dict, table: dict) -> dict:
+    """``sum_d terms[d] * table[d]`` over ``{degs: rat}`` series."""
+    out = {}
+    for d, c in terms.items():
+        for e, m in table[d].items():
+            out[e] = out.get(e, _R0) + c * m
+    return {e: c for e, c in out.items() if c}
+
+
+def _exp_graded(a: dict, keys) -> dict:
+    """exp(a) on ``keys`` for a ``{degs: rat}`` series without constant term.
+
+    ``keys`` run in graded order and hold every degree below each of them.
+    With |d| the total degree, the Euler operator gives the recurrence
+    E_0 = 1, E_d = (1/|d|) sum_{0 < b <= d} |b| a_b E_{d-b}.
+    """
+    weighted = [(b, sum(b) * c) for b, c in a.items()]
+    out = {}
+    for d in keys:
+        total = sum(d)
+        if not total:
+            out[d] = _R1
+            continue
+        acc = _R0
+        for b, wc in weighted:
+            e = out.get(tuple(map(operator.sub, d, b)))
+            if e is not None:
+                acc += wc * e
+        if acc:
+            out[d] = acc / total
+    return out
+
+
+def _units(nv):
+    return [tuple(1 if j == i else 0 for j in range(nv)) for i in range(nv)]
+
+
+def _coordinates(exponents, box, cut):
+    """x_i exp(exponents[i]) for each i, inside ``box`` through total degree
+    ``cut``, over ``{degs: rat}`` series."""
+    out = []
+    for e, a in zip(_units(len(box)), exponents):
+        keys = itertools.product(*(range(b - x + 1) for b, x in zip(box, e)))
+        ex = _exp_graded(a, sorted((d for d in keys if sum(d) < cut), key=sum))
+        out.append({tuple(map(operator.add, d, e)): c for d, c in ex.items()})
+    return out
+
+
+def _substitute(series, images, box, cut):
+    """``s(images)`` for each ``{degs: rat}`` series s, through one shared
+    table of image monomials."""
+    mul = functools.partial(_mul_cut, cut=cut, box=box)
+    table = _power_table(set().union(*series), images, mul, {(0,) * len(box): _R1})
+    return [_compose(s, table) for s in series]
+
+
+def _round_trip_holds(current, corrections, box) -> bool:
+    """Whether q_i(x) = ``current[i]`` composed with the forward map
+    x_i(q) = q_i exp(g_i(q)) gives back q_i inside the box.
+
+    Composing in this direction only raises degrees, so the identity is
+    exact in the rectangular box (the backward composition is not:
+    log(q_i(x)/x_i) at top degree would need coefficients beyond it).
+    """
+    full = sum(box)
+    back = _substitute(current, _coordinates(corrections, box, full), box, full)
+    return all(b == {e: _R1} for b, e in zip(back, _units(len(box))))
+
+
 def series_reversion(gs, sring: SeriesRing):
     """Solve log q_i + g_i(q) = log x_i for q_i(x) = x_i exp(-g_i(q(x))).
 
-    ``gs`` are the correction series (no constant term, no logs).  Returns
-    the tuple of inverted coordinates in ``sring`` (whose variables are read
-    as the flat coordinates x).  The round trip is verified exactly inside
-    the degree box and a failure raises :class:`SeriesError`.
+    ``gs`` are the correction series in ``sring``: no constant term, no logs,
+    and rational coefficients only; anything else raises
+    :class:`SeriesError`.  They are read once as ``{degs: rat}`` and the
+    whole iteration runs on that form.  Returns the tuple of inverted
+    coordinates in ``sring`` (whose variables are read as the flat
+    coordinates x).  The round trip is verified exactly inside the degree
+    box and a failure raises :class:`SeriesError`.
 
     The fixed point q <- x exp(-g(q)) is iterated sum(box) - 1 times.  The
     start q = x is exact through total degree 1, because g has no constant
@@ -501,33 +610,57 @@ def series_reversion(gs, sring: SeriesRing):
     has no constant term), so the next x exp(-g(q)) is exact through total
     degree k + 1.  After pass k, q is therefore exact through total degree
     k + 1, and every degree in the box is reached after sum(box) - 1 passes.
+    So pass k cuts everything at total degree k + 1: the corrections, every
+    product and its result.
+
+    A pass substitutes q into all n corrections through one table of image
+    monomials, M_0 = 1 and M_d = M_{d - e_i} q_i (:func:`_power_table`), and
+    takes each exponential by the graded recurrence of :func:`_exp_graded`.
+    A coefficient flagged ``truncated`` in any correction flags every
+    coefficient of the result.
     """
     gs = tuple(gs)
     nv = sring.nvars
     if len(gs) != nv:
         raise SeriesError("one correction series per variable is required")
+    box = sring.box
+    if any(b < 1 for b in box):
+        raise SeriesError("reversion needs every degree bound >= 1, got %r" % (box,))
     z = (0,) * nv
+    corrections = []
+    flagged = False
     for g in gs:
+        if g.sring != sring:
+            raise SeriesError("corrections must live in the reversion's series ring")
         if g.prefactor or g.has_logs():
             raise SeriesError("corrections must be plain log-free series")
-        if any(degs == z for (degs, _) in g.data):
-            raise SeriesError("corrections must have no constant term")
+        terms = {}
+        for (degs, _), c in g.data.items():
+            if degs == z:
+                raise SeriesError("corrections must have no constant term")
+            if not c.is_scalar():
+                raise SeriesError(
+                    f"corrections must have rational coefficients, got {c!r} at degree {degs}"
+                )
+            terms[degs] = c.scalar_value()
+            flagged = flagged or c.truncated
+        corrections.append(terms)
 
-    current = tuple(sring.variable(i) for i in range(nv))
-    for _ in range(sum(sring.box) - 1):
-        current = tuple(
-            sring.variable(i) * (-(gs[i].subs(current))).exp() for i in range(nv)
-        )
+    negated = [{d: -c for d, c in g.items()} for g in corrections]
+    current = [{e: _R1} for e in _units(nv)]
+    for k in range(1, sum(box)):
+        cut = k + 1
+        cut_gs = [{d: c for d, c in g.items() if sum(d) <= cut} for g in negated]
+        current = _coordinates(_substitute(cut_gs, current, box, cut), box, cut)
+    if not _round_trip_holds(current, corrections, box):
+        raise SeriesError("coordinate reversion failed its round-trip check")
 
-    # Round trip through the forward map x_i(q) = q_i exp(g_i(q)).  Composing
-    # in this direction only raises degrees, so the identity is exact in the
-    # rectangular box (the backward composition is not: log(q_i(x)/x_i) at
-    # top degree would need coefficients beyond it).
-    forward = tuple(sring.variable(i) * gs[i].exp() for i in range(nv))
-    for i in range(nv):
-        if not (current[i].subs(forward) - sring.variable(i)).is_zero():
-            raise SeriesError("coordinate reversion failed its round-trip check")
-    return current
+    ring = sring.coeff
+    zl = (0,) * ring.nlambda
+    return tuple(
+        QSeries(sring, {(d, z): RingElem(ring, {(0, zl, 0): c}, flagged) for d, c in q.items()})
+        for q in current
+    )
 
 
 def polylog_series(sring: SeriesRing, weight: int, beta, coeff=1) -> QSeries:

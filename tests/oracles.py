@@ -4,8 +4,14 @@ Everything here is deliberately primitive: dense coefficient lists over
 fractions.Fraction, direct combinatorial formulas, no imports from the
 package under test.  Agreement between these and the package is evidence
 that neither side inherited the other's bugs.
+
+The last section is the exception: the earlier substitution and reversion
+of ``eqmirror.series``, kept as written before the power-table rewrite.
+They run on the package's own series type, so the rewrite can be compared
+with them term by term and flag by flag.
 """
 
+import math
 from fractions import Fraction
 from math import factorial
 
@@ -231,3 +237,141 @@ def trivalent_classes(action):
     classes = [((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1), ((1, 1, 1), 1)]
     classes += [((1, 1, 0), pair), ((1, 0, 1), pair), ((0, 1, 1), pair)]
     return tuple(classes)
+
+# ---------------------------------------------------------------------------
+# the substitution and reversion before the power-table rewrite, on the
+# package's series type
+# ---------------------------------------------------------------------------
+
+from eqmirror.exact_core import rat  # noqa: E402
+from eqmirror.series import QSeries, SeriesError  # noqa: E402
+
+
+def term_by_term_subs(self, images):
+    """``self.subs(images)`` as one unit power per term and variable:
+    substitute q_i -> images[i], each of the shape x_i * (1 + O(x)).
+
+    Log-slot keys transform as log q_i -> log x_i + log U_i where
+    U_i = images[i] / x_i.  The result lives in the ring of the images.
+    """
+    self._require_plain("substitution")
+    images = tuple(images)
+    if len(images) != self.sring.nvars:
+        raise SeriesError("one image per variable is required")
+    target = images[0].sring
+    nv = target.nvars
+    if nv != self.sring.nvars:
+        raise SeriesError("substitution must preserve the variable count")
+    z = (0,) * nv
+
+    units = []
+    for i, img in enumerate(images):
+        if img.sring != target or img.prefactor or img.has_logs():
+            raise SeriesError("images must be plain log-free series in one ring")
+        shifted = {}
+        for (degs, logs), c in img.data.items():
+            if degs[i] < 1:
+                raise SeriesError(
+                    f"image of variable {self.sring.variables[i]} is not divisible by it"
+                )
+            shifted[(tuple(d - (1 if j == i else 0) for j, d in enumerate(degs)), logs)] = c
+        unit = QSeries(target, shifted)
+        if unit.constant_term() != target.coeff.one():
+            raise SeriesError("images must have unit leading coefficient")
+        units.append(unit)
+
+    max_deg = [0] * nv
+    max_log = [0] * nv
+    for degs, logs in self.data:
+        for i in range(nv):
+            max_deg[i] = max(max_deg[i], degs[i])
+            max_log[i] = max(max_log[i], logs[i])
+
+    unit_pows = []
+    for i, u in enumerate(units):
+        pows = [target.one()]
+        for _ in range(max_deg[i]):
+            pows.append(pows[-1] * u)
+        unit_pows.append(pows)
+    logu_pows = []
+    for i, u in enumerate(units):
+        pows = [target.one()]
+        if max_log[i]:
+            lu = u.log()
+            for _ in range(max_log[i]):
+                pows.append(pows[-1] * lu)
+        logu_pows.append(pows)
+
+    total = target.zero()
+    for (degs, logs), c in self.data.items():
+        term = target.monomial(degs, coeff=c)
+        for i in range(nv):
+            if degs[i]:
+                term = term * unit_pows[i][degs[i]]
+        for i in range(nv):
+            if logs[i]:
+                expanded = target.zero()
+                for a in range(logs[i] + 1):
+                    logx = tuple(a if j == i else 0 for j in range(nv))
+                    expanded = expanded + target.monomial(
+                        z, logx, rat(math.comb(logs[i], a))
+                    ) * logu_pows[i][logs[i] - a]
+                term = term * expanded
+        total = total + term
+    return total
+
+
+def fixed_point_reversion(gs, sring):
+    """``series_reversion`` with every pass over the full box: solve
+    log q_i + g_i(q) = log x_i for q_i(x) = x_i exp(-g_i(q(x))).
+
+    ``gs`` are the correction series (no constant term, no logs).  Returns
+    the tuple of inverted coordinates in ``sring`` (whose variables are read
+    as the flat coordinates x).  The round trip is verified exactly inside
+    the degree box and a failure raises :class:`SeriesError`.
+
+    The fixed point q <- x exp(-g(q)) is iterated sum(box) - 1 times.  The
+    start q = x is exact through total degree 1, because g has no constant
+    term.  If q is exact through total degree k, an error of total degree
+    >= k + 1 in q moves g(q) only at total degree >= k + 1 (again because g
+    has no constant term), so the next x exp(-g(q)) is exact through total
+    degree k + 1.  After pass k, q is therefore exact through total degree
+    k + 1, and every degree in the box is reached after sum(box) - 1 passes.
+    """
+    gs = tuple(gs)
+    nv = sring.nvars
+    if len(gs) != nv:
+        raise SeriesError("one correction series per variable is required")
+    z = (0,) * nv
+    for g in gs:
+        if g.prefactor or g.has_logs():
+            raise SeriesError("corrections must be plain log-free series")
+        if any(degs == z for (degs, _) in g.data):
+            raise SeriesError("corrections must have no constant term")
+
+    current = tuple(sring.variable(i) for i in range(nv))
+    for _ in range(sum(sring.box) - 1):
+        current = tuple(
+            sring.variable(i) * (-(term_by_term_subs(gs[i], current))).exp() for i in range(nv)
+        )
+
+    # Round trip through the forward map x_i(q) = q_i exp(g_i(q)).  Composing
+    # in this direction only raises degrees, so the identity is exact in the
+    # rectangular box (the backward composition is not: log(q_i(x)/x_i) at
+    # top degree would need coefficients beyond it).
+    forward = tuple(sring.variable(i) * gs[i].exp() for i in range(nv))
+    for i in range(nv):
+        if not (term_by_term_subs(current[i], forward) - sring.variable(i)).is_zero():
+            raise SeriesError("coordinate reversion failed its round-trip check")
+    return current
+
+
+def assert_same_series(got, want):
+    """Same terms, the same ``truncated`` flag on every coefficient, and the
+    same prefactor flag."""
+    assert got.sring == want.sring
+    assert got.prefactor == want.prefactor
+    assert got.data == want.data
+    assert {k: c.truncated for k, c in got.data.items()} == {
+        k: c.truncated for k, c in want.data.items()
+    }

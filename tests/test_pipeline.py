@@ -1,3 +1,6 @@
+import importlib.util
+import os
+
 import pytest
 
 from eqmirror.exact_core import rat
@@ -20,6 +23,8 @@ from eqmirror.pipeline import (
 )
 from eqmirror.closed_forms import tree_classes
 from eqmirror.series import QSeries, polylog_series
+
+from oracles import assert_same_series, fixed_point_reversion, term_by_term_subs
 
 
 def easyj():
@@ -371,3 +376,70 @@ def test_pipeline_properties_on_builtin_families(family, parameter, action, box)
         + list(restrict_w(res.w).components.values())
     )
     assert not any(series.truncated() for series in read)
+
+
+def _benchmark_inputs():
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    groups = [group for sizes in module.PIPELINE_JOBS.values() for group in sizes.values()]
+    groups += module.CLI_INPUTS.values()
+    return {job for group in groups for job in group}
+
+
+@pytest.mark.parametrize(
+    "family,parameter,action,box", sorted(set(PROPERTY_INPUTS) | _benchmark_inputs(), key=repr)
+)
+def test_reversion_and_substitutions_match_the_oracles(family, parameter, action, box):
+    # the mirror inverse, and every subs call of normalize_j, against the
+    # fixed-point reversion and the term-by-term substitution
+    res = run_pipeline(geometry(family, parameter, action), box)
+    mirror, ring = res.mirror, res.sring.coeff
+    for new, old in zip(mirror.inverse, fixed_point_reversion(mirror.corrections, res.sring)):
+        assert_same_series(new, old)
+    j = res.factorization.j
+    substituted = list(mirror.corrections) + [mirror.sigma]
+    substituted += [j.hbar_slice(-n) * ring.hbar(-n) for n in range(3)]
+    for series in substituted:
+        assert_same_series(series.subs(mirror.inverse), term_by_term_subs(series, mirror.inverse))
+
+
+@pytest.mark.parametrize(
+    "family,parameter,action,box",
+    [("a_n", 2, None, (3, 0)), ("x_k", 1, "antidiagonal", (0,)), ("x_k", 1, "antidiagonal", (-2,))],
+)
+def test_box_entries_below_one_are_refused_before_any_stage(
+    monkeypatch, family, parameter, action, box
+):
+    def stage(*args):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(pipeline, "default_series_ring", stage)
+    monkeypatch.setattr(pipeline, "ifunction", stage)
+    with pytest.raises(PipelineError, match=r"^degree must be >= 1, got %d$" % min(box)):
+        run_pipeline(geometry(family, parameter, action), box)
+
+
+def test_pipeline_cache_keeps_the_16_most_recently_used_inputs(monkeypatch):
+    inputs = [
+        (geometry("x_k", k, action), (d,))
+        for action in ("antidiagonal", "diagonal")
+        for k in (-1, 0, 1, 2)
+        for d in (1, 2)
+    ] + [(geometry("x_k", -1, "generic"), (1,))]
+    keys = [(geom.key, box) for geom, box in inputs]
+
+    # the 17th distinct input evicts the oldest
+    monkeypatch.setattr(pipeline, "_PIPELINE_CACHE", {})
+    first = [run_pipeline(*args) for args in inputs]
+    assert list(pipeline._PIPELINE_CACHE) == keys[1:]
+    assert run_pipeline(*inputs[0]) is not first[0]
+    assert list(pipeline._PIPELINE_CACHE) == keys[2:] + keys[:1]
+    # a hit makes its input the newest, so the next eviction takes another
+    monkeypatch.setattr(pipeline, "_PIPELINE_CACHE", {})
+    first = [run_pipeline(*args) for args in inputs[:16]]
+    assert run_pipeline(*inputs[0]) is first[0]
+    run_pipeline(*inputs[16])
+    assert list(pipeline._PIPELINE_CACHE) == keys[2:16] + keys[:1] + keys[16:]
+    assert run_pipeline(*inputs[0]) is first[0]

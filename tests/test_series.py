@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eqmirror.exact_core import CoeffRing, algebra_from_relations, rat
+from eqmirror import series as series_module
+from eqmirror.exact_core import CoeffRing, RingElem, algebra_from_relations, rat
 from eqmirror.series import (
     QSeries,
     SeriesError,
@@ -13,12 +15,15 @@ from eqmirror.series import (
 )
 
 from oracles import (
+    assert_same_series,
+    fixed_point_reversion,
     lagrange_inverse,
     polylog_coeffs,
     ser_exp,
     ser_log,
     ser_mul,
     ser_trim,
+    term_by_term_subs,
 )
 
 
@@ -200,6 +205,20 @@ def test_subs_requires_unit_multiple_of_variable():
         sr.one().subs((sr.variable(0) * rat(2),))
 
 
+def test_subs_requires_rational_images():
+    # with hbar images the table product x1 x2 (1 + h q2)(1 + h q1) would
+    # clip h^2 before the h^-1 coefficient brings it back into the window
+    ring = CoeffRing(algebra_from_relations(("p",), ({(2,): 1},)), (), (), -1, 1)
+    sr = SeriesRing(ring, ("q1", "q2"), (2, 2))
+    images = (
+        QSeries(sr, {((1, 0), (0, 0)): ring.one(), ((1, 1), (0, 0)): ring.hbar(1)}),
+        QSeries(sr, {((0, 1), (0, 0)): ring.one(), ((1, 1), (0, 0)): ring.hbar(1)}),
+    )
+    f = QSeries(sr, {((1, 1), (0, 0)): ring.hbar(-1)})
+    with pytest.raises(SeriesError, match="images must have rational coefficients"):
+        f.subs(images)
+
+
 def test_reversion_matches_lagrange_inversion():
     # t = log q + c log(1 + eps q) inverts with binomial coefficients
     for c, eps in ((3, 1), (8, -1), (15, 1), (1, -1)):
@@ -222,6 +241,113 @@ def test_reversion_rejects_constant_terms():
     sr = sring1()
     with pytest.raises(SeriesError):
         series_reversion((sr.one(),), sr)
+
+
+def test_reversion_rejects_non_rational_coefficients():
+    ring = CoeffRing(algebra_from_relations(("p",), ({(2,): 1},)), ("lam",), (0,))
+    sr = SeriesRing(ring, ("q",), (3,))
+    for coeff in (ring.lam("lam"), ring.p("p"), ring.one() + ring.p("p")):
+        g = QSeries(sr, {((1,), (0,)): ring.one(), ((2,), (0,)): coeff})
+        with pytest.raises(SeriesError, match="rational coefficients, got .* at degree \\(2,\\)"):
+            series_reversion((g,), sr)
+
+
+def test_reversion_rejects_zero_degree_bounds():
+    sr = sring2((3, 0))
+    with pytest.raises(SeriesError, match="every degree bound >= 1"):
+        series_reversion((sr.variable(0), sr.variable(0)), sr)
+
+
+def test_reversion_flags_every_coefficient_of_a_flagged_correction():
+    sr = sring1(4)
+    ring = sr.coeff
+    clipped = RingElem(ring, {(0, (), 0): rat(3)}, truncated=True)
+    g = QSeries(sr, {((1,), (0,)): ring.one(), ((2,), (0,)): clipped})
+    (qx,) = series_reversion((g,), sr)
+    assert len(qx.data) == 4
+    assert all(c.truncated for c in qx.data.values())
+    assert qx == series_reversion((sr.from_rational_terms({(1,): 1, (2,): 3}),), sr)[0]
+
+
+def _passes(corrections, box, passes, cut_shift=0):
+    """The reversion loop over ``{degs: rat}`` corrections with a chosen
+    number of passes and pass k cut at total degree k + 1 + cut_shift."""
+    current = [{e: rat(1)} for e in series_module._units(len(box))]
+    for k in range(1, passes + 1):
+        cut = k + 1 + cut_shift
+        cut_gs = [{d: -c for d, c in g.items() if sum(d) <= cut} for g in corrections]
+        current = series_module._coordinates(
+            series_module._substitute(cut_gs, current, box, cut), box, cut
+        )
+    return current
+
+
+@pytest.mark.parametrize("box", [(6,), (3, 3), (2, 1, 2)])
+def test_round_trip_catches_a_short_pass_count_or_a_low_cut(box):
+    nv = len(box)
+    corrections = [
+        {tuple(1 if j in (i, (i + 1) % nv) else 0 for j in range(nv)): rat(2, i + 1),
+         tuple(1 if j == i else 0 for j in range(nv)): rat(-1)}
+        for i in range(nv)
+    ]
+    full = sum(box) - 1
+    holds = series_module._round_trip_holds
+    assert holds(_passes(corrections, box, full), corrections, box)
+    assert not holds(_passes(corrections, box, full - 1), corrections, box)
+    assert not holds(_passes(corrections, box, full, cut_shift=-1), corrections, box)
+
+
+@st.composite
+def rational_corrections(draw):
+    """A series ring of 1-3 variables with box sum <= 8 and one rational
+    correction series per variable."""
+    nv = draw(st.integers(1, 3))
+    box = []
+    for i in range(nv):
+        box.append(draw(st.integers(1, 8 - sum(box) - (nv - 1 - i))))
+    box = tuple(box)
+    sr = SeriesRing(scalar_coeff_ring(), ("q1", "q2", "q3")[:nv], box)
+    degrees = st.tuples(*(st.integers(0, b) for b in box)).filter(any)
+    coefficients = st.builds(rat, st.integers(-4, 4), st.integers(1, 5))
+    gs = tuple(
+        sr.from_rational_terms(draw(st.dictionaries(degrees, coefficients, max_size=4)))
+        for _ in range(nv)
+    )
+    return sr, gs
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_corrections())
+def test_reversion_matches_the_fixed_point_oracle(case):
+    sr, gs = case
+    got = series_reversion(gs, sr)
+    for new, old in zip(got, fixed_point_reversion(gs, sr)):
+        assert_same_series(new, old)
+
+
+def test_subs_matches_the_term_by_term_oracle_with_logs_and_flags():
+    alg = algebra_from_relations(("p1", "p2"), ({(2, 0): 1}, {(1, 1): 1}, {(0, 2): 1}))
+    ring = CoeffRing(alg, (), (), hbar_min=-2, hbar_max=1)
+    sr = SeriesRing(ring, ("q1", "q2"), (3, 2))
+    g1 = sr.from_rational_terms({(1, 0): rat(2), (1, 1): rat(-1, 3), (0, 2): rat(5)})
+    g2 = sr.from_rational_terms({(0, 1): rat(-1), (2, 1): rat(7, 2)})
+    inverse = series_reversion((g1, g2), sr)
+    clipped = RingElem(ring, {(1, (), -1): rat(4)}, truncated=True)
+    f = QSeries(
+        sr,
+        {
+            ((0, 0), (0, 0)): ring.one(),
+            ((1, 0), (1, 0)): ring.p("p1") * ring.hbar(-1),
+            ((0, 1), (2, 1)): ring.p("p2") + ring.hbar(1) * rat(3),
+            ((2, 1), (0, 0)): clipped,
+            ((1, 2), (0, 1)): ring.hbar(-2) * rat(-1, 2),
+        },
+    )
+    assert f.has_logs() and f.truncated()
+    assert_same_series(f.subs(inverse), term_by_term_subs(f, inverse))
+    # images that are not the inverse of a mirror map
+    images = (sr.variable(0) + sr.monomial((1, 1), coeff=rat(3)), sr.variable(1) * g1.exp())
+    assert_same_series(f.subs(images), term_by_term_subs(f, images))
 
 
 def test_polylog_series():
