@@ -117,9 +117,11 @@ def geometry_from_config(cfg):
             for rel in cfg.get("relations", ()):
                 if not isinstance(rel, dict):
                     raise ConfigError("relations are {exponent-tuple: coefficient}")
-                relations.append(
-                    {tuple(k): _parse_rat(v, "relation coefficient") for k, v in rel.items()}
-                )
+                relation = {}
+                for exps, v in rel.items():
+                    exps = tuple(_config_int(e, "relation exponent") for e in exps)
+                    relation[exps] = _parse_rat(v, "relation coefficient")
+                relations.append(relation)
             return GeometrySpec(
                 name=str(cfg.get("name", "custom")),
                 mori=tuple(

@@ -204,13 +204,8 @@ def period_ft(k, sring):
     """F_t in the q coordinate: triple t^2/2 plus the instanton sum on x(q)."""
     data = genus0_data(k)
     t = data.t_series(sring)
-    x = data.forward_map(sring)
-    out = t * t * (data.triple * rat(1, 2))
-    xpow = sring.one()
-    for d in range(1, sring.box[0] + 1):
-        xpow = xpow * x
-        out = out + xpow * (prepotential_coefficient(k, d) * rat(d))
-    return out
+    instantons = prepotential_derivative(k, sring, 1).subs((data.forward_map(sring),))
+    return t * t * (data.triple * rat(1, 2)) + instantons
 
 
 def pf_check(k, degree=6):

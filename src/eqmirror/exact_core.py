@@ -151,9 +151,6 @@ class CohomAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def degree(self, i: int) -> int:
-        return sum(self.basis[i])
-
     def generator_index(self, g) -> int:
         """Basis index of a single generator (by position or name)."""
         pos = g if isinstance(g, int) else self.generators.index(g)

@@ -255,21 +255,19 @@ def normalize_j(j, mirror):
     turns the prefactor normalization e^{sum p log q / hbar} into
     e^{sum p log x / hbar}.  Only the levels that are read are built: A sits
     at hbar level 0 and J keeps levels <= 0, so level -n of B needs the
-    factors A^m / m! for m <= n and the J levels -n .. 0, each substituted
-    on its own.  The returned plain series holds hbar levels 0, -1 and -2
-    only.  Its 1/hbar slice cancels by construction, which is asserted.
+    factors A^m / m! for m <= n and the J levels -n .. 0.  A is formed in q
+    and substituted once, and the three J levels are substituted as one
+    series.  The returned plain series holds hbar levels 0, -1 and -2 only.
+    Its 1/hbar slice cancels by construction, which is asserted.
     """
     sring = j.sring
     ring = sring.coeff
     gens = ring.algebra.generators
-    arg = sring.zero()
-    for i, g in enumerate(mirror.corrections):
-        arg = arg - g.subs(mirror.inverse) * ring.p(gens[i])
-    arg = arg - mirror.sigma.subs(mirror.inverse)
-    arg = arg * ring.hbar(-1)
-    j0, j1, j2 = (
-        (j.hbar_slice(-n) * ring.hbar(-n)).subs(mirror.inverse) for n in range(3)
-    )
+    a = -sum((g * ring.p(p) for g, p in zip(mirror.corrections, gens)), mirror.sigma)
+    arg = a.subs(mirror.inverse) * ring.hbar(-1)
+    levels = sum((j.hbar_slice(-n) * ring.hbar(-n) for n in range(3)), sring.zero())
+    levels = levels.subs(mirror.inverse)
+    j0, j1, j2 = (levels.hbar_slice(-n) * ring.hbar(-n) for n in range(3))
     if not (arg * j0 + j1).is_zero():
         raise PipelineError("normalization failed to cancel the 1/hbar slice")
     return j0 + arg * arg * rat(1, 2) * j0 + arg * j1 + j2

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import numbers
 import operator
 from dataclasses import dataclass
@@ -416,11 +415,12 @@ class QSeries:
 
         Log-slot keys transform as log q_i -> log x_i + log U_i where
         U_i = images[i] / x_i.  The result lives in the ring of the images.
-        Each degree in the support becomes one image monomial from
-        :func:`_power_table`, scaled by its coefficient.  The images must
-        have rational coefficients: then no product here can leave the
-        coefficient windows, so no term is clipped and the result does not
-        depend on the order of the products.
+        The images must have rational coefficients.  They are read once as
+        ``{degs: rat}``, and a term c q^d becomes c M_d with M_d the rational
+        image monomial from :func:`_power_table`, the table the reversion
+        walks.  A rational factor cannot leave the coefficient windows, so no
+        term is clipped.  A coefficient flagged ``truncated`` in any image
+        flags every coefficient of the result, as in :func:`series_reversion`.
         """
         self._require_plain("substitution")
         images = tuple(images)
@@ -430,70 +430,81 @@ class QSeries:
         nv = target.nvars
         if nv != self.sring.nvars:
             raise SeriesError("substitution must preserve the variable count")
-        z = (0,) * nv
 
-        units = []
-        for i, img in enumerate(images):
+        units = _units(nv)
+        rows = []
+        flagged = False
+        for i, (img, e) in enumerate(zip(images, units)):
             if img.sring != target or img.prefactor or img.has_logs():
                 raise SeriesError("images must be plain log-free series in one ring")
-            if not all(c.is_scalar() for c in img.data.values()):
-                raise SeriesError("images must have rational coefficients")
-            shifted = {}
-            for (degs, logs), c in img.data.items():
-                if degs[i] < 1:
-                    raise SeriesError(
-                        f"image of variable {self.sring.variables[i]} is not divisible by it"
-                    )
-                shifted[(tuple(d - (1 if j == i else 0) for j, d in enumerate(degs)), logs)] = c
-            unit = QSeries(target, shifted)
-            if unit.constant_term() != target.coeff.one():
+            row, clipped = _rational_terms(img, "images")
+            if any(d[i] < 1 for d in row):
+                raise SeriesError(
+                    f"image of variable {self.sring.variables[i]} is not divisible by it"
+                )
+            if row.get(e) != 1:
                 raise SeriesError("images must have unit leading coefficient")
-            units.append(unit)
+            rows.append(row)
+            flagged = flagged or clipped
 
-        max_log = [max((logs[i] for _, logs in self.data), default=0) for i in range(nv)]
-        logu_pows = []
-        for i, u in enumerate(units):
-            pows = [target.one()]
-            if max_log[i]:
-                lu = u.log()
-                for _ in range(max_log[i]):
-                    pows.append(pows[-1] * lu)
-            logu_pows.append(pows)
+        @functools.cache
+        def log_power(i, n):
+            # (log q_i)^n -> (log x_i + log U_i)^n
+            unit = target.from_rational_terms(
+                {tuple(map(operator.sub, d, units[i])): c for d, c in rows[i].items()}
+            )
+            return (target.log_variable(i) + unit.log()) ** n
 
-        table = _power_table(
-            {degs for degs, _ in self.data}, images, operator.mul, target.one()
-        )
-        total = target.zero()
+        ring = target.coeff
+        z = (0,) * nv
+        table = _power_table({degs for degs, _ in self.data}, rows, target.box, sum(target.box))
+        out = {}
         for (degs, logs), c in self.data.items():
-            term = table[degs] * target.coeff.convert(c)
-            for i in range(nv):
-                if logs[i]:
-                    expanded = target.zero()
-                    for a in range(logs[i] + 1):
-                        logx = tuple(a if j == i else 0 for j in range(nv))
-                        expanded = expanded + target.monomial(
-                            z, logx, rat(math.comb(logs[i], a))
-                        ) * logu_pows[i][logs[i] - a]
-                    term = term * expanded
-            total = total + term
-        return total
+            c = ring.convert(c)
+            term = {(e, z): c * m for e, m in table[degs].items()}
+            for i, n in enumerate(logs):
+                if n:
+                    term = (QSeries(target, term) * log_power(i, n)).data
+            for key, v in term.items():
+                _accumulate(out, key, v)
+        if flagged:
+            out = {key: RingElem(ring, v.terms, True) for key, v in out.items()}
+        return QSeries(target, out)
 
 
-def _power_table(degrees, images, mul, one) -> dict:
-    """Image monomials M_d = prod_i images[i]^d_i for every d in ``degrees``.
+def _rational_terms(series, what):
+    """The ``{degs: rat}`` terms of a log-free series and whether any of its
+    coefficients is flagged ``truncated``; a coefficient that is not a plain
+    rational raises :class:`SeriesError`."""
+    terms = {}
+    flagged = False
+    for (degs, _), c in series.data.items():
+        if not c.is_scalar():
+            raise SeriesError(
+                f"{what} must have rational coefficients, got {c!r} at degree {degs}"
+            )
+        terms[degs] = c.scalar_value()
+        flagged = flagged or c.truncated
+    return terms, flagged
 
-    M_0 = ``one`` and M_d = mul(M_{d - e_i}, images[i]) with i the first
-    nonzero position of d: one product per degree in ``degrees`` or on the
-    way down from one to 0.  ``mul`` decides the representation, so the same
-    walk serves :class:`QSeries` images and ``{degs: rat}`` ones.
+
+def _power_table(degrees, images, box, cut) -> dict:
+    """Image monomials M_d = prod_i images[i]^d_i for every d in ``degrees``,
+    over ``{degs: rat}`` series inside ``box`` through total degree ``cut``.
+
+    M_0 = 1 and M_d = M_{d - e_i} images[i] with i the first nonzero
+    position of d: one product per degree in ``degrees`` or on the way down
+    from one to 0.
     """
-    table = {(0,) * len(images): one}
+    z = (0,) * len(box)
+    table = {z: {z: _R1}}
 
     def power(d):
         m = table.get(d)
         if m is None:
             i = next(j for j, e in enumerate(d) if e)
-            m = table[d] = mul(power(d[:i] + (d[i] - 1,) + d[i + 1 :]), images[i])
+            lower = power(d[:i] + (d[i] - 1,) + d[i + 1 :])
+            m = table[d] = _mul_cut(lower, images[i], cut, box)
         return m
 
     for d in degrees:
@@ -574,8 +585,7 @@ def _coordinates(exponents, box, cut):
 def _substitute(series, images, box, cut):
     """``s(images)`` for each ``{degs: rat}`` series s, through one shared
     table of image monomials."""
-    mul = functools.partial(_mul_cut, cut=cut, box=box)
-    table = _power_table(set().union(*series), images, mul, {(0,) * len(box): _R1})
+    table = _power_table(set().union(*series), images, box, cut)
     return [_compose(s, table) for s in series]
 
 
@@ -634,17 +644,11 @@ def series_reversion(gs, sring: SeriesRing):
             raise SeriesError("corrections must live in the reversion's series ring")
         if g.prefactor or g.has_logs():
             raise SeriesError("corrections must be plain log-free series")
-        terms = {}
-        for (degs, _), c in g.data.items():
-            if degs == z:
-                raise SeriesError("corrections must have no constant term")
-            if not c.is_scalar():
-                raise SeriesError(
-                    f"corrections must have rational coefficients, got {c!r} at degree {degs}"
-                )
-            terms[degs] = c.scalar_value()
-            flagged = flagged or c.truncated
+        if (z, z) in g.data:
+            raise SeriesError("corrections must have no constant term")
+        terms, clipped = _rational_terms(g, "corrections")
         corrections.append(terms)
+        flagged = flagged or clipped
 
     negated = [{d: -c for d, c in g.items()} for g in corrections]
     current = [{e: _R1} for e in _units(nv)]

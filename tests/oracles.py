@@ -366,6 +366,47 @@ def fixed_point_reversion(gs, sring):
     return current
 
 
+# ---------------------------------------------------------------------------
+# the normalization and the F_t period before they substituted through the
+# shared image table
+# ---------------------------------------------------------------------------
+
+from eqmirror.closed_forms import genus0_data, prepotential_coefficient  # noqa: E402
+
+
+def six_call_normalize_j(j, mirror):
+    """``pipeline.normalize_j`` with one substitution per mirror correction,
+    one for sigma and one per J level: levels 0, -1 and -2 of
+    e^{A / hbar} J(q(x)), A = -(sum_i p_i g_i(q(x)) + sigma(q(x)))."""
+    sring = j.sring
+    ring = sring.coeff
+    gens = ring.algebra.generators
+    arg = sring.zero()
+    for i, g in enumerate(mirror.corrections):
+        arg = arg - g.subs(mirror.inverse) * ring.p(gens[i])
+    arg = arg - mirror.sigma.subs(mirror.inverse)
+    arg = arg * ring.hbar(-1)
+    j0, j1, j2 = (
+        (j.hbar_slice(-n) * ring.hbar(-n)).subs(mirror.inverse) for n in range(3)
+    )
+    assert (arg * j0 + j1).is_zero()
+    return j0 + arg * arg * rat(1, 2) * j0 + arg * j1 + j2
+
+
+def power_loop_period_ft(k, sring):
+    """``closed_forms.period_ft`` by explicit powers of x(q): F_t in the q
+    coordinate, triple t^2/2 plus sum_d d c_d x(q)^d."""
+    data = genus0_data(k)
+    t = data.t_series(sring)
+    x = data.forward_map(sring)
+    out = t * t * (data.triple * rat(1, 2))
+    xpow = sring.one()
+    for d in range(1, sring.box[0] + 1):
+        xpow = xpow * x
+        out = out + xpow * (prepotential_coefficient(k, d) * rat(d))
+    return out
+
+
 def assert_same_series(got, want):
     """Same terms, the same ``truncated`` flag on every coefficient, and the
     same prefactor flag."""

@@ -356,20 +356,24 @@ def test_out_file_respects_output_dir(capsys, tmp_path, monkeypatch):
     assert written == out
 
 
+# x_k(1, antidiagonal) as an explicit charge matrix
+X1_CONFIG = (
+    "name = x_k(1,antidiagonal)\n"
+    "family = x_k\n"
+    "mori = ((1, 1, 1, -3),)\n"
+    "weights = (None, None, ('lam', 1), ('lam', -1))\n"
+    "generators = ('p',)\n"
+    "relations = ({(2,): 1},)\n"
+    "lambda_names = ('lam',)\n"
+    "infinity_weights = ('lam',)\n"
+)
+
+
 def test_explicit_config_reads_infinity_weights(capsys, tmp_path, monkeypatch):
     # a fresh cache, so neither run can be served by an entry of another test
     monkeypatch.setattr(pipeline, "_PIPELINE_CACHE", {})
     cfg = tmp_path / "x1.cfg"
-    cfg.write_text(
-        "name = x_k(1,antidiagonal)\n"
-        "family = x_k\n"
-        "mori = ((1, 1, 1, -3),)\n"
-        "weights = (None, None, ('lam', 1), ('lam', -1))\n"
-        "generators = ('p',)\n"
-        "relations = ({(2,): 1},)\n"
-        "lambda_names = ('lam',)\n"
-        "infinity_weights = ('lam',)\n"
-    )
+    cfg.write_text(X1_CONFIG)
     rc, out, _ = run_cli(capsys, "gw", "--config", str(cfg), "--degree", "3")
     rc2, out2, _ = run_cli(
         capsys, "gw", "--geometry", "x_k", "--k", "1", "--action", "antidiagonal",
@@ -389,10 +393,12 @@ def test_explicit_config_reads_infinity_weights(capsys, tmp_path, monkeypatch):
         (("verify-fibration",), "fiber_degree = 1.5\n"),
         (("gw",), "geometry = a_n\nn = (2,)\n"),
         (("gw",), "mori = ((1, 'a'),)\nweights = (None, None)\ngenerators = ('p',)\n"),
+        (("gw",), X1_CONFIG.replace("(2,)", "(2.7,)") + "degree = 3\n"),
+        (("gw",), X1_CONFIG.replace("(2,)", "('a',)") + "degree = 3\n"),
     ],
     ids=[
         "rational", "zero-denominator", "k", "fiber-degree",
-        "parameter", "mori",
+        "parameter", "mori", "relation-exponent", "relation-exponent-name",
     ],
 )
 def test_bad_numbers_exit_2(capsys, tmp_path, argv, config):

@@ -21,6 +21,7 @@ from eqmirror.closed_forms import (
     genus1_reference_check,
     pf_check,
     pf_operator,
+    period_ft,
     prepotential_coefficient,
     prepotential_derivative,
     scalar_series_ring,
@@ -36,10 +37,12 @@ from eqmirror.pipeline import polylog_invert
 
 from oracles import (
     a_n_fields,
+    assert_same_series,
     chain_classes,
     instanton_coefficient,
     lagrange_inverse,
     multicover_invert,
+    power_loop_period_ft,
     ser_div,
     trivalent_classes,
 )
@@ -119,6 +122,13 @@ def test_genus0_identities(k):
     assert yukawa_check(k).passed
     assert ftt_identity_check(k).passed
     assert pf_check(k).passed
+
+
+@pytest.mark.parametrize("degree", (8, 24))
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_period_ft_matches_the_power_loop_oracle(k, degree):
+    sring = scalar_series_ring(degree)
+    assert_same_series(period_ft(k, sring), power_loop_period_ft(k, sring))
 
 
 def test_pf_operator_shape():

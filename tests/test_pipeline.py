@@ -24,7 +24,12 @@ from eqmirror.pipeline import (
 from eqmirror.closed_forms import tree_classes
 from eqmirror.series import QSeries, polylog_series
 
-from oracles import assert_same_series, fixed_point_reversion, term_by_term_subs
+from oracles import (
+    assert_same_series,
+    fixed_point_reversion,
+    six_call_normalize_j,
+    term_by_term_subs,
+)
 
 
 def easyj():
@@ -403,6 +408,16 @@ def test_reversion_and_substitutions_match_the_oracles(family, parameter, action
     substituted += [j.hbar_slice(-n) * ring.hbar(-n) for n in range(3)]
     for series in substituted:
         assert_same_series(series.subs(mirror.inverse), term_by_term_subs(series, mirror.inverse))
+
+
+@pytest.mark.parametrize(
+    "family,parameter,action,box", sorted(set(PROPERTY_INPUTS) | _benchmark_inputs(), key=repr)
+)
+def test_normalize_j_matches_the_six_call_oracle(family, parameter, action, box):
+    # two substitutions give the terms and flags of one per correction,
+    # one for sigma and one per J level
+    res = run_pipeline(geometry(family, parameter, action), box)
+    assert_same_series(res.normalized, six_call_normalize_j(res.factorization.j, res.mirror))
 
 
 @pytest.mark.parametrize(

@@ -350,6 +350,20 @@ def test_subs_matches_the_term_by_term_oracle_with_logs_and_flags():
     assert_same_series(f.subs(images), term_by_term_subs(f, images))
 
 
+def test_subs_flags_every_coefficient_for_one_flagged_image_coefficient():
+    sr = sring2((3, 2))
+    ring = sr.coeff
+    clipped = RingElem(ring, {(0, (), 0): rat(3)}, truncated=True)
+    plain = (sr.variable(0) + sr.monomial((2, 0), coeff=rat(3)), sr.variable(1))
+    images = (QSeries(sr, {((1, 0), (0, 0)): ring.one(), ((2, 0), (0, 0)): clipped}), plain[1])
+    f = sr.from_rational_terms({(0, 0): 1, (0, 1): rat(-2), (1, 1): rat(1, 2), (2, 0): 5})
+    got = f.subs(images)
+    assert got == f.subs(plain)
+    assert len(got.data) == 6
+    assert all(c.truncated for c in got.data.values())
+    assert not any(c.truncated for c in f.subs(plain).data.values())
+
+
 def test_polylog_series():
     sr = sring1(6)
     li2 = polylog_series(sr, 2, (1,))
