@@ -13,6 +13,7 @@ from .exact_core import (
     CohomAlgebra,
     RingElem,
     algebra_from_relations,
+    divide_linear,
     expand_reciprocal_at_infinity,
     rat,
     rat_str,

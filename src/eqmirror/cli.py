@@ -113,6 +113,7 @@ def geometry_from_config(cfg):
                     weights.append((str(w[0]), _config_int(w[1], "weight sign")))
                 else:
                     raise ConfigError("weights entries are null or (name, sign)")
+            generators = tuple(cfg.get("generators", ()))
             relations = []
             for rel in cfg.get("relations", ()):
                 if not isinstance(rel, dict):
@@ -120,6 +121,11 @@ def geometry_from_config(cfg):
                 relation = {}
                 for exps, v in rel.items():
                     exps = tuple(_config_int(e, "relation exponent") for e in exps)
+                    if len(exps) != len(generators) or min(exps, default=0) < 0:
+                        raise ConfigError(
+                            "relation exponent tuple %r needs one entry >= 0 for each of "
+                            "the %d generators" % (exps, len(generators))
+                        )
                     relation[exps] = _parse_rat(v, "relation coefficient")
                 relations.append(relation)
             return GeometrySpec(
@@ -128,7 +134,7 @@ def geometry_from_config(cfg):
                     tuple(_config_int(c, "mori entry") for c in row) for row in cfg["mori"]
                 ),
                 weights=tuple(weights),
-                generators=tuple(cfg.get("generators", ())),
+                generators=generators,
                 relations=tuple(relations),
                 lambda_names=tuple(cfg.get("lambda_names", ())),
                 infinity_weights=tuple(cfg.get("infinity_weights", ())),

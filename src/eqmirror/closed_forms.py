@@ -208,25 +208,24 @@ def period_ft(k, sring):
     return t * t * (data.triple * rat(1, 2)) + instantons
 
 
+def pf_residuals(k, sring):
+    """theta^2 (qdt)^{-1} theta applied to the period triple {1, t, F_t} one
+    factor at a time, without composing ``pf_operator``: theta, the product
+    by (qdt)^{-1}, then theta twice."""
+    data = genus0_data(k)
+    middle = data.qdt_inverse(sring)
+    solutions = (("1", sring.one()), ("t", data.t_series(sring)), ("F_t", period_ft(k, sring)))
+    return tuple((name, (middle * sol.theta(0)).theta(0).theta(0)) for name, sol in solutions)
+
+
 def pf_check(k, degree=6):
     """The operator annihilates the period triple {1, t, F_t}."""
-    sring = scalar_series_ring(degree)
-    op = pf_operator(k, sring)
-    solutions = (
-        ("1", sring.one()),
-        ("t", genus0_data(k).t_series(sring)),
-        ("F_t", period_ft(k, sring)),
-    )
-    details = []
-    passed = True
-    for name, sol in solutions:
-        ok = op.apply(sol).is_zero()
-        passed = passed and ok
-        details.append((name, "annihilated" if ok else "residual"))
+    residuals = pf_residuals(k, scalar_series_ring(degree))
+    details = tuple((name, "annihilated" if r.is_zero() else "residual") for name, r in residuals)
     return ComparisonReport(
         label="quantum differential operator k=%d through q^%d" % (k, degree),
-        passed=passed,
-        details=tuple(details),
+        passed=all(r.is_zero() for _, r in residuals),
+        details=details,
     )
 
 

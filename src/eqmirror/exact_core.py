@@ -40,6 +40,7 @@ __all__ = [
     "CoefficientError",
     "RingElem",
     "algebra_from_relations",
+    "divide_linear",
     "elem_invert",
     "expand_reciprocal_at_infinity",
     "rat",
@@ -619,6 +620,31 @@ def _geometric_reciprocal(x: RingElem, lead_inv, jmax: int):
     return total, False
 
 
+def _split_linear(form: RingElem, i=None):
+    """The lead of a linear form, s*lam_i (s = +-1) when ``i`` indexes a
+    weight or else m*hbar, as ``(key, coefficient)``, and the rest, which
+    has grade 0 in the lead's variable."""
+    ring = form.ring
+    lead_key = (0, tuple(int(j == i) for j in range(ring.nlambda)), int(i is None))
+    lead, rest = _R0, {}
+    for key, c in form.terms.items():
+        if not (key[2] if i is None else key[1][i]):
+            rest[key] = c
+        elif key == lead_key:
+            lead = c
+        else:
+            raise CoefficientError(
+                "form is not linear in %s" % ("hbar" if i is None else "the expansion weight")
+            )
+    if i is None and lead == 0:
+        raise CoefficientError("zero hbar coefficient: denominator factor degenerates")
+    if i is not None and lead != 1 and lead != -1:
+        raise CoefficientError(
+            f"weight {ring.lambda_names[i]} must carry unit coefficient to expand at infinity"
+        )
+    return lead_key, lead, RingElem(ring, rest)
+
+
 def expand_reciprocal_at_infinity(form: RingElem, lam, depth: int | None = None) -> RingElem:
     """Expansion of 1/form about lam = infinity.
 
@@ -629,19 +655,7 @@ def expand_reciprocal_at_infinity(form: RingElem, lam, depth: int | None = None)
     """
     ring = form.ring
     i = lam if isinstance(lam, int) else ring.lambda_names.index(lam)
-    s = _R0
-    rest = {}
-    for (b, lexps, h), c in form.terms.items():
-        if lexps[i] == 0:
-            rest[(b, lexps, h)] = c
-            continue
-        if lexps[i] != 1 or b != 0 or h != 0 or any(e for j, e in enumerate(lexps) if j != i):
-            raise CoefficientError("form is not linear in the expansion weight")
-        s = c
-    if s != 1 and s != -1:
-        raise CoefficientError(
-            f"weight {ring.lambda_names[i]} must carry unit coefficient to expand at infinity"
-        )
+    _, s, rest = _split_linear(form, i)
     floor = ring.lambda_floor[i]
     if floor >= 0:
         raise CoefficientError("expansion at infinity requires a negative weight floor")
@@ -649,32 +663,52 @@ def expand_reciprocal_at_infinity(form: RingElem, lam, depth: int | None = None)
     if depth is not None:
         jmax = min(jmax, depth)
     # 1/(s lam) = s lam^-1 since s = +-1
-    total, exact = _geometric_reciprocal(RingElem(ring, rest), ring.lam(i, -1) * s, jmax)
+    total, exact = _geometric_reciprocal(rest, ring.lam(i, -1) * s, jmax)
     return RingElem(ring, dict(total.terms), total.truncated or not exact or form.truncated)
 
 
 def reciprocal_hbar_linear(form: RingElem) -> RingElem:
-    """Expansion of 1/(X + m*hbar) in descending hbar powers, m a nonzero integer.
+    """Expansion of 1/(X + m*hbar) in descending hbar powers, m a nonzero rational.
 
     Exact whenever X is nilpotent; otherwise exact down to the ring's hbar
-    floor (the standard truncated-series semantics used by the I-function
-    builder for polynomially treated weights).
+    floor (the standard truncated-series semantics).
     """
     ring = form.ring
-    m = _R0
-    rest = {}
-    for (b, lexps, h), c in form.terms.items():
-        if h == 0:
-            rest[(b, lexps, h)] = c
-        elif h == 1 and b == 0 and not any(lexps):
-            m = c
-        else:
-            raise CoefficientError("form is not linear in hbar")
-    if m == 0:
-        raise CoefficientError("zero hbar coefficient: denominator factor degenerates")
+    _, m, rest = _split_linear(form)
     lead_inv = ring.hbar(-1) * (_R1 / m)
-    total, exact = _geometric_reciprocal(RingElem(ring, rest), lead_inv, -ring.hbar_min - 1)
+    total, exact = _geometric_reciprocal(rest, lead_inv, -ring.hbar_min - 1)
     return RingElem(ring, dict(total.terms), total.truncated or not exact or form.truncated)
+
+
+def divide_linear(p: RingElem, form: RingElem, lam=None) -> RingElem:
+    """p / form for a linear form with lead s*lam (s = +-1) when ``lam``
+    names a weight, else m*hbar: with form = lead + rest, X = lead^-1 (p -
+    rest X) is solved one grade (exponent of the lead's variable) at a time,
+    from p's top grade down to the ring's floor, as in sparse division by a
+    monomial lead (Monagan and Pearce, JSC 2011).  X is flagged truncated
+    when a nonzero remainder is left below the floor, or when p or form is
+    flagged or a product clips a term."""
+    ring = p.ring
+    i = None if lam is None else lam if isinstance(lam, int) else ring.lambda_names.index(lam)
+    (_, dl, dh), lead, rest = _split_linear(form, i)
+    floor = ring.hbar_min if i is None else ring.lambda_floor[i]
+    lead_inv, rest = _R1 / lead, -rest
+    levels = {}
+    for key, c in p.terms.items():
+        levels.setdefault(key[2] if i is None else key[1][i], {})[key] = c
+    truncated = p.truncated or form.truncated
+    out, x = {}, ring.zero()
+    for g in range(max(levels, default=floor), floor - 1, -1):
+        # grade g of p is lead * X_{g-1} + rest * X_g
+        r = RingElem(ring, levels.get(g, {})) + rest * x
+        truncated = truncated or r.truncated
+        if g == floor:
+            return RingElem(ring, out, truncated or not r.is_zero())
+        x = RingElem(ring, {
+            (b, tuple(e - d for e, d in zip(l, dl)), h - dh): c * lead_inv
+            for (b, l, h), c in r.terms.items()
+        })
+        out.update(x.terms)
 
 
 def elem_invert(e: RingElem) -> RingElem:

@@ -15,16 +15,17 @@ the degree d with column j and D_j = sum_i l^j_i p_i + w_j,
           = prod_{m=L_j+1}^{0} (D_j + m hbar)         L_j < 0
 
 The m = 0 factor of a negative column is kept unless D_j vanishes
-identically.  Reciprocal factors are Laurent-expanded exactly: in 1/lambda
-for columns whose weight is marked dominant (``infinity_weights``), in
-1/hbar otherwise.
+identically.  Reciprocal factors are divided out exactly, one grade at a
+time (``divide_linear``): down in lambda for columns whose weight is marked
+dominant (``infinity_weights``), down in hbar otherwise.
 
 C_d is built as a running product along degree chains.  Its predecessor is
 the first d - e_i (in ``degree_keys`` order) whose numerator, 1/lambda and
 1/hbar factor multisets all lie inside d's, or else the zero degree with
-product 1; d multiplies the predecessor's stored product by the factors it
-lacks, numerators first, then 1/lambda factors, then 1/hbar factors.  A
-stored product is dropped once its last child is built.
+product 1; d multiplies the predecessor's stored product by the numerators
+it lacks, then divides it by the missing 1/lambda factors, then by the
+missing 1/hbar factors.  A stored product is dropped once its last child is
+built.
 
 Window clipping stays loss-free: a term dropped on the way can never reach
 a retained term of any C_d.
@@ -32,28 +33,24 @@ a retained term of any C_d.
 * lambda: one construction floor for the box, ``pad`` below the ring's,
   with pad the largest number of numerators carrying a dominant weight in
   any C_d.  A numerator lifts a weight's exponent by at most one and a
-  1/lambda factor lowers it by at least one, so a product's exponent plus
-  the lift of the numerators still to come is at most pad: a term, or an
-  expansion order, cut at the construction floor ends below the ring's.
+  1/lambda division lowers it by at least one, so a product's exponent plus
+  the lift of the numerators still to come is at most pad: a term, or a
+  division level, cut at the construction floor ends below the ring's.
 * hbar ceiling: every factor is homogeneous of degree +-1 in p, lambda and
   hbar, so no partial product reaches past the largest numerator count
   plus sum(pad - floor) over the negative lambda floors; one ceiling that
   high serves the box and clips nothing.
 * hbar floor: of the factors a product still lacks towards a descendant
-  along its chain, a numerator lifts hbar by at most one, a 1/hbar factor
-  lowers it by at least one, and a 1/lambda factor lifts it by j on the
-  order-j term, which lowers the weight by j + 1.  The 1/lambda factors of
-  one weight therefore lift by at most that weight's exponent in the
+  along its chain, a numerator lifts hbar by at most one, a 1/hbar division
+  lowers it by at least one, and a 1/lambda division lifts it by j on the
+  terms it moves j + 1 levels down in the weight.  The 1/lambda divisions
+  of one weight therefore lift by at most that weight's exponent in the
   descendant (numerators carrying it minus its 1/lambda factors) minus the
   ring's floor.  Each product keeps hbar exponents down to the ring's
   floor minus the largest such lift over its descendants (the per-chain
   floor slack, never negative), so a term clipped there cannot climb back.
-* truncated 1/hbar expansions: a 1/hbar expansion cut at the floor misses
-  its lower orders, and multiplying it into a product whose hbar exponents
-  reach h would bring them back h levels up, less one for each 1/hbar
-  factor the same degree still multiplies in after it.  Such an expansion
-  is taken that much deeper; weighted divisors, whose expansions are the
-  cut ones, go first.
+  A division is exact down to the floor it runs on, whatever the product's
+  top exponent.
 """
 
 import itertools
@@ -63,11 +60,10 @@ from math import comb
 from .exact_core import (
     CoeffRing,
     RingElem,
-    expand_reciprocal_at_infinity,
+    divide_linear,
     poly,
     poly_mul,
     rat,
-    reciprocal_hbar_linear,
     algebra_from_relations,
 )
 from .series import QSeries, SeriesRing
@@ -444,7 +440,7 @@ def _floor_slack(geom, ring, keys, parent, factors):
     missing from a product with a's numerators and b's reciprocals can give
     a term of that product whose image stays in the ring's windows (module
     docstring).  ``keep[d]`` serves the product stored for d's children,
-    ``recip[d]`` the product taking d's new reciprocals; both are the
+    ``recip[d]`` the product divided by d's new reciprocal factors; both are the
     largest lift over the descendants along the chain, and at least 0.
     """
     counts = {}
@@ -489,7 +485,8 @@ def ifunction(geom, sring):
 
     Returns a prefactor-flagged :class:`QSeries`: the stored coefficients
     are the bracket part, with e^{sum p_i log q_i / hbar} kept symbolic.
-    Each C_d is its predecessor's product times the factors it lacks.
+    Each C_d is its predecessor's product times the numerators it lacks,
+    divided by the reciprocal factors it lacks.
     """
     ring = sring.coeff
     if ring.algebra is not geom.algebra:
@@ -512,39 +509,11 @@ def ifunction(geom, sring):
     )
     ceiling = max(sum(f[0].values()) for f in factors.values())
     ceiling += sum(pad - floor for floor in ring.lambda_floor if floor < 0)
-    rings = {}
+    h_hi, rings = max(0, ceiling - ring.hbar_max), {}
 
     def work(slack):
-        got = rings.get(slack)
-        if got is None:
-            got = rings[slack] = ring.widened(
-                lam_extra=pad, h_lo=slack, h_hi=max(0, ceiling - ring.hbar_max)
-            )
-        return got
-
-    # reciprocal expansions by factor and work ring, dropped after last use
-    expansions = {}
-    uses = Counter()
-    for d in keys[1:]:
-        _, at_infinity, hbar_adic = new[d]
-        for factor, n in (at_infinity + hbar_adic).items():
-            uses[(factor, recip[d])] += n
-
-    def reciprocal(factor, slack):
-        key = (factor, slack)
-        got = expansions.get(key)
-        if got is None:
-            charges, m, w = factor
-            form = work(slack).linear_form(charges, m, w)
-            if w is not None and w[0] in geom.infinity_weights:
-                got = expand_reciprocal_at_infinity(form, w[0])
-            else:
-                got = reciprocal_hbar_linear(form)
-            expansions[key] = got
-        uses[key] -= 1
-        if not uses[key]:
-            del expansions[key]
-        return got
+        # one ring object per slack, so products on it need no conversion
+        return rings.setdefault(slack, ring.widened(lam_extra=pad, h_lo=slack, h_hi=h_hi))
 
     children = Counter(parent.values())
     zl = (0,) * sring.nvars
@@ -564,20 +533,10 @@ def ifunction(geom, sring):
             total = total * form
         w_ring = work(recip[d])
         total = w_ring.convert(total)
-        for factor in at_infinity.elements():
-            total = total * reciprocal(factor, recip[d])
-        # weighted divisors first: their expansions are the clipped ones, and
-        # each exact 1/hbar factor after them lowers what the clipping missed
-        pending = sorted(hbar_adic.elements(), key=lambda f: f[2] is None)
-        for i, factor in enumerate(pending):
-            r = reciprocal(factor, recip[d])
-            extra = total.max_hbar_degree() - (len(pending) - 1 - i) if r.truncated else 0
-            if extra > 0:
-                deep = work(recip[d] + extra)
-                r = reciprocal_hbar_linear(deep.linear_form(*factor))
-                total = w_ring.convert(deep.convert(total) * r)
-            else:
-                total = total * r
+        for charges, m, w in at_infinity.elements():
+            total = divide_linear(total, w_ring.linear_form(charges, m, w), w[0])
+        for factor in hbar_adic.elements():
+            total = divide_linear(total, w_ring.linear_form(*factor))
         if children[d]:
             stored[d] = work(keep[d]).convert(total)
         data[(d, zl)] = ring.convert(total)

@@ -5,10 +5,13 @@ fractions.Fraction, direct combinatorial formulas, no imports from the
 package under test.  Agreement between these and the package is evidence
 that neither side inherited the other's bugs.
 
-The last section is the exception: the earlier substitution and reversion
-of ``eqmirror.series``, kept as written before the power-table rewrite.
-They run on the package's own series type, so the rewrite can be compared
-with them term by term and flag by flag.
+The last sections are the exception: earlier constructions of the package,
+kept as written before a rewrite.  These are the substitution and reversion
+of ``eqmirror.series`` before the power-table rewrite, the normalization and
+F_t period before the shared image table, and the I-series that multiplied
+in each reciprocal factor's expansion before ``ifunction`` divided by it.
+They run on the package's own types, so each rewrite can be compared with
+them term by term and flag by flag.
 """
 
 import math
@@ -416,3 +419,88 @@ def assert_same_series(got, want):
     assert {k: c.truncated for k, c in got.data.items()} == {
         k: c.truncated for k, c in want.data.items()
     }
+
+
+# ---------------------------------------------------------------------------
+# the I-series with every reciprocal factor multiplied in as its expansion,
+# before ``ifunction`` divided by each factor
+# ---------------------------------------------------------------------------
+
+from eqmirror.exact_core import (  # noqa: E402
+    expand_reciprocal_at_infinity,
+    reciprocal_hbar_linear,
+)
+
+
+def coefficient_factors(geom, degs):
+    """The linear factors of C_d as ``(charges, m, weight)`` lists:
+    numerators, 1/lambda reciprocals and 1/hbar reciprocals."""
+    numerators = []
+    at_infinity = []
+    hbar_adic = []
+    for j in range(geom.ncols):
+        charges = tuple(row[j] for row in geom.mori)
+        pairing = geom.column_pairing(degs, j)
+        w = geom.weights[j]
+        if pairing == 0:
+            continue
+        if pairing < 0:
+            for m in range(pairing + 1, 1):
+                numerators.append((charges, m, w))
+        elif w is not None and w[0] in geom.infinity_weights:
+            for m in range(1, pairing + 1):
+                at_infinity.append((charges, m, w))
+        else:
+            for m in range(1, pairing + 1):
+                hbar_adic.append((charges, m, w))
+    return numerators, at_infinity, hbar_adic
+
+
+def from_scratch_coefficient(geom, ring, degs, deep=False, clip=True):
+    """C_d built from scratch, every factor multiplied in per degree and
+    each reciprocal as its Laurent expansion: the construction the running
+    product replaced, kept as its oracle.
+
+    ``deep`` lowers the construction's hbar floor by its ceiling.  No partial
+    product reaches above the ceiling, so the orders a clipped 1/hbar
+    expansion lacks then stay below the ring's floor, and every retained
+    term is exact.  Without it the construction loses terms near the floor
+    on some custom geometries.  ``clip=False`` returns the product in the
+    construction's own wider ring.
+    """
+    numerators, at_infinity, hbar_adic = coefficient_factors(geom, degs)
+    lam_pad = sum(
+        1 for charges, m, w in numerators if w is not None and w[0] in geom.infinity_weights
+    )
+    ceiling = len(numerators)
+    for floor in ring.lambda_floor:
+        if floor < 0:
+            ceiling += -(floor - lam_pad)
+    work = ring.widened(
+        lam_extra=lam_pad,
+        h_lo=ceiling if deep else 0,
+        h_hi=max(0, ceiling - ring.hbar_max),
+    )
+    total = work.one()
+    for charges, m, w in numerators:
+        form = work.linear_form(charges, m, w)
+        if form.is_zero():
+            continue
+        total = total * form
+    for charges, m, w in at_infinity:
+        form = work.linear_form(charges, m, w)
+        total = total * expand_reciprocal_at_infinity(form, w[0])
+    for charges, m, w in hbar_adic:
+        form = work.linear_form(charges, m, w)
+        total = total * reciprocal_hbar_linear(form)
+    return ring.convert(total) if clip else total
+
+
+def from_scratch_ifunction(geom, sring, deep=False):
+    zl = (0,) * sring.nvars
+    ring = sring.coeff
+    data = {
+        (degs, zl): from_scratch_coefficient(geom, ring, degs, deep) if any(degs) else ring.one()
+        for degs in sring.degree_keys()
+    }
+    return QSeries(sring, data, prefactor=True)

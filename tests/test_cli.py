@@ -413,6 +413,22 @@ def test_bad_numbers_exit_2(capsys, tmp_path, argv, config):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "relations, bad", [("({(2, 1): 1},)", "(2, 1)"), ("({(-1,): 1},)", "(-1,)")]
+)
+def test_relation_exponents_must_fit_the_generators(capsys, tmp_path, relations, bad):
+    # one generator: a tuple of the wrong length or with a negative entry
+    path = tmp_path / "bad.cfg"
+    path.write_text(X1_CONFIG.replace("({(2,): 1},)", relations) + "degree = 3\n")
+    rc, out, err = run_cli(capsys, "gw", "--config", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err == (
+        "error: relation exponent tuple %s needs one entry >= 0 for each of the 1 generators\n"
+        % bad
+    )
+
+
 def test_bad_degree_exits_2_without_traceback():
     src = os.path.dirname(os.path.dirname(eqmirror.__file__))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])

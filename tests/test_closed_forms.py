@@ -21,6 +21,7 @@ from eqmirror.closed_forms import (
     genus1_reference_check,
     pf_check,
     pf_operator,
+    pf_residuals,
     period_ft,
     prepotential_coefficient,
     prepotential_derivative,
@@ -138,6 +139,22 @@ def test_pf_operator_shape():
     assert all(texps[0] >= 1 for (degs, texps) in op.terms)
     with pytest.raises(ClosedFormError):
         pf_operator(1, scalar_series_ring((2, 2), names=("a", "b")))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pf_residuals_match_the_composed_operator(k):
+    # one factor at a time gives the residuals of the composed operator;
+    # the closed forms reject k = 0 on both routes
+    sr = scalar_series_ring(6)
+    for route in (pf_residuals, pf_operator):
+        with pytest.raises(ClosedFormError):
+            route(0, sr)
+    data = genus0_data(k)
+    solutions = (sr.one(), data.t_series(sr), period_ft(k, sr))
+    residuals = pf_residuals(k, sr)
+    assert [name for name, _ in residuals] == ["1", "t", "F_t"]
+    for sol, (_, residual) in zip(solutions, residuals):
+        assert_same_series(residual, pf_operator(k, sr).apply(sol))
 
 
 def test_genus1_reference_expansions():

@@ -7,6 +7,7 @@ from eqmirror.exact_core import (
     CoeffRing,
     RingElem,
     algebra_from_relations,
+    divide_linear,
     elem_invert,
     expand_reciprocal_at_infinity,
     rat,
@@ -363,3 +364,81 @@ def test_elem_invert_matches_formula(hwin, lam_floor, r, tail):
     ring = CoeffRing(cubic_algebra(), ("lam",), (lam_floor,), *hwin)
     e = ring.scalar(r) + ring.elem(tail)
     assert same(elem_invert(e), reference_elem_invert(e))
+
+
+# ---------------------------------------------------------------------------
+# exact division by a linear form against the product by its expansion
+# ---------------------------------------------------------------------------
+
+
+def test_divide_linear_hand_values():
+    ring = CoeffRing(line_algebra(), ("lam",), (-3,), hbar_min=-3, hbar_max=3)
+    p, lam, h = ring.p("p"), ring.lam("lam"), ring.hbar(1)
+    # (lam + p)(h - p) / (lam + p) is exact and unflagged
+    got = divide_linear((lam + p) * (h - p), lam + p, "lam")
+    assert got == h - p and not got.truncated
+    # 1/(2h + p) = h^-1/2 - p h^-2/4 ends above the floor
+    got = divide_linear(ring.one(), h * rat(2) + p)
+    assert got == ring.hbar(-1) * rat(1, 2) - p * ring.hbar(-2) * rat(1, 4)
+    assert not got.truncated
+    # 1/(h + lam) goes on below the floor: exact above it, and flagged
+    got = divide_linear(ring.one(), h + lam)
+    assert got.truncated
+    assert got == ring.hbar(-1) - lam * ring.hbar(-2) + lam * lam * ring.hbar(-3)
+    with pytest.raises(CoefficientError):
+        divide_linear(ring.one(), lam * rat(2) + p, "lam")
+    with pytest.raises(CoefficientError):
+        divide_linear(ring.one(), p)
+    with pytest.raises(CoefficientError):
+        divide_linear(CoeffRing(line_algebra()).one(), h + p)
+
+
+division_key = st.tuples(
+    st.integers(0, 2), st.tuples(st.integers(-6, 2), st.integers(-3, 2)), st.integers(-7, 4)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(("lam", None)),
+    st.sampled_from((1, -1, 2, -2, 3, -3, 4, -4)),
+    coeff_or_zero, coeff_or_zero, coeff_or_zero,
+    st.integers(-5, -1), st.tuples(st.integers(-6, 0), st.integers(1, 4)),
+    st.dictionaries(division_key, nonzero_rat, max_size=6),
+)
+def test_divide_linear_matches_the_expansion_product(lead, m, cp, cx, cmu, floor, hwin, pterms):
+    # lead s*lam (s the sign of m) with rest p, hbar and mu, or lead m*hbar
+    # with rest p, lam and mu; p may carry clipped terms and so a flag
+    ring = CoeffRing(cubic_algebra(), ("lam", "mu"), (floor, -2), *hwin)
+    p = ring.elem(pterms)
+    rest = ring.p("p") * cp + ring.lam("mu") * cmu
+    if lead:
+        form = ring.lam("lam") * rat(1 if m > 0 else -1) + ring.hbar(1) * cx + rest
+    else:
+        form = ring.hbar(1) * m + ring.lam("lam") * cx + rest
+    got = divide_linear(p, form, lead)
+
+    # p times the expansion of 1/form, built deep enough to be exact in the
+    # window: the lead's floor lowered by p's top grade, and for a lambda
+    # lead the hbar ceiling raised by p's lowest hbar exponent
+    top = max((k[1][0] if lead else k[2] for k in p.terms), default=0) + 1
+    low = min((k[2] for k in p.terms), default=0)
+    if lead:
+        deep = ring.widened(lam_extra=max(0, top), h_hi=max(0, -low))
+        expansion = expand_reciprocal_at_infinity(deep.convert(form), "lam")
+    else:
+        deep = ring.widened(h_lo=max(0, top))
+        expansion = reciprocal_hbar_linear(deep.convert(form))
+    want = ring.convert(deep.convert(p) * expansion)
+    assert got.terms == want.terms
+    assert want.truncated or not got.truncated
+
+    # a deeper-window division agrees inside the window, and an unflagged
+    # quotient is the whole of it and multiplies back to p
+    deeper = ring.widened(lam_extra=6, h_lo=6, h_hi=6)
+    far = divide_linear(deeper.convert(p), deeper.convert(form), lead)
+    assert ring.convert(far).terms == got.terms
+    if not got.truncated:
+        assert far.terms == got.terms and not far.truncated
+        wide = ring.widened(h_hi=1)
+        assert wide.convert(got) * wide.convert(form) == wide.convert(p)

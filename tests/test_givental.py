@@ -4,11 +4,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqmirror.exact_core import (
-    expand_reciprocal_at_infinity,
-    rat,
-    reciprocal_hbar_linear,
-)
+from eqmirror.exact_core import rat
 from eqmirror.givental import (
     GeometryError,
     GeometrySpec,
@@ -25,9 +21,15 @@ from eqmirror.givental import (
     y_k,
 )
 from eqmirror.pipeline import PipelineError, birkhoff
-from eqmirror.series import QSeries, SeriesRing, scalar_coeff_ring
+from eqmirror.series import SeriesRing, scalar_coeff_ring
 
-from oracles import a_n_fields, trivalent_fields
+from oracles import (
+    a_n_fields,
+    coefficient_factors,
+    from_scratch_coefficient,
+    from_scratch_ifunction,
+    trivalent_fields,
+)
 
 
 def test_bundle_factories():
@@ -323,71 +325,6 @@ def test_annihilation_conifold():
 # ---------------------------------------------------------------------------
 
 
-def from_scratch_coefficient(geom, ring, degs, deep=False):
-    """C_d built from scratch, every factor multiplied in per degree: the
-    construction the running product replaced, kept as its oracle.
-
-    ``deep`` lowers the construction's hbar floor by its ceiling.  No partial
-    product reaches above the ceiling, so the orders a clipped 1/hbar
-    expansion lacks then stay below the ring's floor, and every retained
-    term is exact.  Without it the construction loses terms near the floor
-    on some custom geometries.
-    """
-    numerators = []
-    at_infinity = []
-    hbar_adic = []
-    for j in range(geom.ncols):
-        charges = tuple(row[j] for row in geom.mori)
-        pairing = geom.column_pairing(degs, j)
-        w = geom.weights[j]
-        if pairing == 0:
-            continue
-        if pairing < 0:
-            for m in range(pairing + 1, 1):
-                numerators.append((charges, m, w))
-        elif w is not None and w[0] in geom.infinity_weights:
-            for m in range(1, pairing + 1):
-                at_infinity.append((charges, m, w))
-        else:
-            for m in range(1, pairing + 1):
-                hbar_adic.append((charges, m, w))
-    lam_pad = sum(
-        1 for charges, m, w in numerators if w is not None and w[0] in geom.infinity_weights
-    )
-    ceiling = len(numerators)
-    for floor in ring.lambda_floor:
-        if floor < 0:
-            ceiling += -(floor - lam_pad)
-    work = ring.widened(
-        lam_extra=lam_pad,
-        h_lo=ceiling if deep else 0,
-        h_hi=max(0, ceiling - ring.hbar_max),
-    )
-    total = work.one()
-    for charges, m, w in numerators:
-        form = work.linear_form(charges, m, w)
-        if form.is_zero():
-            continue
-        total = total * form
-    for charges, m, w in at_infinity:
-        form = work.linear_form(charges, m, w)
-        total = total * expand_reciprocal_at_infinity(form, w[0])
-    for charges, m, w in hbar_adic:
-        form = work.linear_form(charges, m, w)
-        total = total * reciprocal_hbar_linear(form)
-    return ring.convert(total)
-
-
-def from_scratch_ifunction(geom, sring, deep=False):
-    zl = (0,) * sring.nvars
-    ring = sring.coeff
-    data = {
-        (degs, zl): from_scratch_coefficient(geom, ring, degs, deep) if any(degs) else ring.one()
-        for degs in sring.degree_keys()
-    }
-    return QSeries(sring, data, prefactor=True)
-
-
 def _benchmark_inputs():
     path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
@@ -455,13 +392,30 @@ _TEST_INPUTS = {
     ids=lambda v: repr(v).replace(" ", ""),
 )
 def test_ifunction_matches_the_from_scratch_construction(family, parameter, action, box, windows):
+    # the terms match everywhere; a flag may only drop, and only where a
+    # deep build has exactly the same terms, none of them outside the window,
+    # and where multiplying back by the reciprocal factors gives the
+    # numerators exactly
     geom = geometry(family, parameter, action)
     sr = default_series_ring(geom, box, **dict(windows))
     got, want = ifunction(geom, sr), from_scratch_ifunction(geom, sr)
     assert got.data.keys() == want.data.keys()
     for key, c in want.data.items():
-        assert got.data[key].terms == c.terms, key
-        assert got.data[key].truncated == c.truncated, key
+        new = got.data[key]
+        assert new.terms == c.terms, key
+        if new.truncated != c.truncated:
+            assert c.truncated and not new.truncated, key
+            deep = from_scratch_coefficient(geom, sr.coeff, key[0], deep=True, clip=False)
+            assert deep.terms == new.terms, key
+            numerators, at_infinity, hbar_adic = coefficient_factors(geom, key[0])
+            wide = deep.ring.widened(h_hi=len(at_infinity) + len(hbar_adic))
+            back, want = wide.convert(new), wide.one()
+            for factor in at_infinity + hbar_adic:
+                back = back * wide.linear_form(*factor)
+            for factor in numerators:
+                form = wide.linear_form(*factor)
+                want = want * form if form else want  # a zero m = 0 factor is dropped
+            assert back == want and not back.truncated, key
 
 
 @st.composite
